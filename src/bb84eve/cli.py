@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
@@ -25,16 +26,7 @@ from .engine import (
     analytic_expectations,
     run_sharded,
 )
-from .pulse_attacks import (
-    AttackStrategy,
-    BsInterceptResend,
-    BsOptimal,
-    InterceptResend,
-    OptimalIncoherent,
-    Pns,
-    full_break_transmission,
-    kappa_for_channel,
-)
+from .pulse_attacks import ATTACKS, AttackStrategy, full_break_transmission
 from .pulse_optics import (
     OpticalConfig,
     bob_count_pmf_after_splitter,
@@ -53,8 +45,10 @@ from .single_photon import (
 
 SCHEMA_VERSION = "1"
 
-ATTACK_KINDS = ("none", "ir", "opt", "bs-ir", "bs-opt", "pns")
-SWEEP_KINDS = ("ir", "opt", "bs-ir", "bs-opt", "pns")
+#: The attacks by their command-line spelling: ``bs-ir`` for ``bs_ir``.
+_CLI_ATTACKS = {name.replace("_", "-"): cls for name, cls in ATTACKS.items()}
+SWEEP_KINDS = tuple(_CLI_ATTACKS)
+ATTACK_KINDS = ("none", *SWEEP_KINDS)
 
 _VERIFY_TOL = 1e-12
 
@@ -68,7 +62,7 @@ def _emit_manifest(command: str, params: dict, seed: int | None, path: str | Non
         "version": __version__,
         "timestamp_utc": datetime.now(timezone.utc).isoformat().replace("+00:00", "Z"),
     }
-    line = json.dumps(manifest)
+    line = json.dumps(manifest, allow_nan=False)
     print(line, file=sys.stderr)
     if path:
         with open(path, "w") as fh:
@@ -85,7 +79,9 @@ def _merge_params(args: argparse.Namespace, names: list[str], defaults: dict) ->
     if getattr(args, "config", None):
         with open(args.config) as fh:
             loaded = json.load(fh)
-        from_file = loaded.get("params", loaded)
+        from_file = loaded.get("params", loaded) if isinstance(loaded, dict) else None
+        if not isinstance(from_file, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
     merged = {}
     for name in names:
         key = name.replace("-", "_")
@@ -93,6 +89,8 @@ def _merge_params(args: argparse.Namespace, names: list[str], defaults: dict) ->
         if flag is not None:
             merged[name] = flag
         elif key in from_file:
+            if not isinstance(from_file[key], (str, int, float, type(None))):
+                raise ValueError(f"config value {key!r} must be a number or a string")
             merged[name] = from_file[key]
         else:
             merged[name] = defaults.get(name)
@@ -108,7 +106,7 @@ def _print_or_write(text: str, output: str | None) -> None:
 
 
 def _json_document(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------- thresholds
@@ -121,12 +119,10 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
         return 2
     mu, eta = float(params["mu"]), float(params["eta"])
     rows = []
-    break_flag = False
     for kind in THRESHOLD_KINDS:
         res = threshold(kind, mu, eta)
         rows.append((kind, res.max_d_ab, res.break_possible))
-        if kind == "pns":
-            break_flag = res.break_possible
+    break_flag = any(flag for _, _, flag in rows)
     eta_star = full_break_transmission(mu)
     _emit_manifest("thresholds", {"mu": mu, "eta": eta}, None, args.manifest)
 
@@ -171,7 +167,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if kind_cli is None:
         print("sweep: --strategy is required", file=sys.stderr)
         return 2
-    kind = kind_cli.replace("-", "_")
+    if kind_cli not in _CLI_ATTACKS:
+        print(f"sweep: unknown strategy {kind_cli!r}", file=sys.stderr)
+        return 2
+    kind = _CLI_ATTACKS[kind_cli].name
     d_min, d_max = float(params["d-min"]), float(params["d-max"])
     steps = int(params["steps"])
     if not (0.0 <= d_min < d_max <= 0.5) or steps < 2:
@@ -248,26 +247,13 @@ _SIM_DEFAULTS = {
 
 
 def _build_attack(kind: str, params: dict) -> AttackStrategy | None:
+    """Build the attack and record its resolved parameters (a derived kappa) in ``params``."""
     if kind == "none":
         return None
-    if kind == "ir":
-        return InterceptResend(eps=float(params["eps"]))
-    if kind == "opt":
-        return OptimalIncoherent(d=float(params["d"]))
-    if kind in ("bs-ir", "bs-opt"):
-        if params["t"] is None:
-            raise ValueError(f"attack {kind!r} requires --t (splitter transmission)")
-        cls = BsInterceptResend if kind == "bs-ir" else BsOptimal
-        return cls(t=float(params["t"]), d=float(params["d"]))
-    if kind == "pns":
-        if params["kappa"] is not None:
-            kappa = float(params["kappa"])
-        else:
-            cal = kappa_for_channel(float(params["mu"]), float(params["eta"]))
-            kappa = min(cal.kappa, 1.0)
-        params["kappa"] = kappa
-        return Pns(kappa=kappa, d=float(params["d"]))
-    raise ValueError(f"unknown attack kind {kind!r}")
+    cls = _CLI_ATTACKS[kind]
+    attack = cls.from_params(params, float(params["mu"]), float(params["eta"]))
+    params.update(dataclasses.asdict(attack))
+    return attack
 
 
 def _format_check(stats, expected: dict) -> list[dict]:
@@ -286,8 +272,8 @@ def _format_check(stats, expected: dict) -> list[dict]:
             continue
         if stderr > 0.0:
             distance = abs(value - analytic) / stderr
-        else:
-            distance = 0.0 if value == analytic else float("inf")
+        else:  # no spread: a deviation has no finite distance
+            distance = 0.0 if value == analytic else None
         checks.append(
             {
                 "metric": metric,
@@ -365,9 +351,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if checks is not None:
             lines.append("  check (analytic vs empirical):")
             for c in checks:
+                sigma = c["sigma_distance"]
                 lines.append(
                     f"    {c['metric']:<17} {c['analytic']:.6f} vs {c['empirical']:.6f} "
-                    f"({c['sigma_distance']:.2f} sigma)"
+                    + ("(no spread)" if sigma is None else f"({sigma:.2f} sigma)")
                 )
         _print_or_write("\n".join(lines) + "\n", args.output)
     return 0
@@ -527,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

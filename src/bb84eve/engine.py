@@ -14,7 +14,7 @@ no-attack and source-side single-photon strategies.
 
 Intercept-resend forwards a single freshly prepared photon in the measured
 Breidbart state; resent pulses therefore never produce same-basis double
-clicks, and the engine asserts that no modified pulse carries more than one
+clicks, and the engine checks that no modified pulse carries more than one
 photon.  Probe attacks leave photon counts untouched and flip the sifted
 outcome with the attack's disturbance.
 
@@ -33,36 +33,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pulse_attacks import (
+    SCENARIO_A_RULES,
     AttackStrategy,
     BsInterceptResend,
     BsOptimal,
     InterceptResend,
     OptimalIncoherent,
     Pns,
-    bs_ir_predict,
-    bs_opt_predict,
-    pns_predict,
+    line_expectations,
 )
-from .pulse_optics import OpticalConfig, coincidence_prob, poisson_pmf, scenario_probs
-from .single_photon import IR_MAX_GUESS_PROB, opt_guess_prob
-from .states import KET_U, KET_V, KET_X, KET_Y, breidbart_basis
-
-SCENARIO_A_RULES = ("single_result", "majority")
+from .pulse_optics import OpticalConfig
+from .single_photon import opt_guess_prob
+from .states import BREIDBART_M0, BREIDBART_RESEND_BIT1
 
 _BATCH = 1 << 20
 _HIST_MAX = 63
-
-# P(Breidbart outcome M0 | signal), indexed [basis, bit]; bases are (XY, UV)
-# and the bit-0/bit-1 kets are (x, y) and (v, u).
-_BB = breidbart_basis()
-_SIGNAL_KETS = ((KET_X, KET_Y), (KET_V, KET_U))
-_P_M0 = np.array(
-    [[float(_BB.ket0 @ ket) ** 2 for ket in kets] for kets in _SIGNAL_KETS]
-)
-# P(receiver gets logical bit 1 | resent Breidbart state m, receiver basis).
-_P_BR1 = np.array(
-    [[float(b1 @ k) ** 2 for k in (_BB.ket0, _BB.ket1)] for b1 in (KET_Y, KET_U)]
-)
 
 
 @dataclass(frozen=True)
@@ -253,10 +238,10 @@ def _simulate_batch(
 
     elif isinstance(attack, InterceptResend):
         attacked = (photons >= 1) & (rng.random(size) < attack.eps)
-        outcome = (rng.random(size) >= _P_M0[bases, bits]).astype(np.int8)
+        outcome = (rng.random(size) >= BREIDBART_M0[bases, bits]).astype(np.int8)
         resent_survives = rng.binomial(1, eta, size)
         bob_photons = np.where(attacked, resent_survives, rng.binomial(photons, eta))
-        p_bit1 = np.where(attacked, _P_BR1[bases, outcome], bits)
+        p_bit1 = np.where(attacked, BREIDBART_RESEND_BIT1[bases, outcome], bits)
         bob_bit = (rng.random(size) < p_bit1).astype(np.int8)
         eve_guess = np.where(attacked, outcome, rng.integers(0, 2, size, dtype=np.int8))
         resent = attacked
@@ -273,16 +258,16 @@ def _simulate_batch(
         k_eve = photons - k_bob
         scenario_masks = _classify_split(k_bob, k_eve)
         if config.scenario_a_rule == "single_result":
-            tap_guess = (rng.random(size) >= _P_M0[bases, bits]).astype(np.int8)
+            tap_guess = (rng.random(size) >= BREIDBART_M0[bases, bits]).astype(np.int8)
         else:
-            det0 = rng.binomial(k_eve, _P_M0[bases, bits])
+            det0 = rng.binomial(k_eve, BREIDBART_M0[bases, bits])
             det1 = k_eve - det0
             tie = rng.integers(0, 2, size, dtype=np.int8)
             tap_guess = np.where(det0 > det1, 0, np.where(det1 > det0, 1, tie)).astype(np.int8)
         attacked_c = scenario_masks["bob_only"] & (rng.random(size) < 4.0 * attack.d)
-        outcome = (rng.random(size) >= _P_M0[bases, bits]).astype(np.int8)
+        outcome = (rng.random(size) >= BREIDBART_M0[bases, bits]).astype(np.int8)
         bob_photons = np.where(attacked_c, 1, k_bob)
-        p_bit1 = np.where(attacked_c, _P_BR1[bases, outcome], bits)
+        p_bit1 = np.where(attacked_c, BREIDBART_RESEND_BIT1[bases, outcome], bits)
         bob_bit = (rng.random(size) < p_bit1).astype(np.int8)
         coin = rng.integers(0, 2, size, dtype=np.int8)
         eve_guess = np.where(
@@ -323,7 +308,8 @@ def _simulate_batch(
 
     # A resent pulse carries one fresh photon at most; this keeps same-basis
     # double clicks structurally impossible.
-    assert int(bob_photons[resent].max(initial=0)) <= 1
+    if int(bob_photons[resent].max(initial=0)) > 1:
+        raise RuntimeError("a resent pulse carries more than one photon")
 
     bob_basis = rng.integers(0, 2, size, dtype=np.int8)
     detected = bob_photons >= 1
@@ -383,89 +369,22 @@ def run_sharded(config: SessionConfig, n_shards: int) -> SessionStats:
     return total.freeze()
 
 
-def _pns_coincidence(mu: float) -> float:
-    """Coincidence rate after one photon is skimmed off every multi-photon pulse."""
-    total = 0.0
-    for n in range(3, 61):
-        total += poisson_pmf(mu, n) * (1.0 - 2.0 ** (2 - n))
-    return 0.5 * total
-
-
 def analytic_expectations(config: SessionConfig) -> dict[str, float | None]:
-    """Expected rates for the configured session, where closed forms exist.
+    """Expected rates of the configured session, from the attack's closed forms.
 
-    Keys: ``qber``, ``eve_accuracy``, ``nonempty_rate``, ``coincidence_rate``;
-    a value is ``None`` when the model has no simple closed form (only the
-    coincidence rate under an intercepting beam-splitter hybrid).
+    Keys: ``qber``, ``eve_accuracy``, ``nonempty_rate``, ``coincidence_rate``.
+    Each attack's values come from its definition in
+    :mod:`bb84eve.pulse_attacks`.  A per-detection rate is ``None`` only when
+    nothing can be detected.
     """
-    mu = config.optics.mu
-    eta = config.optics.eta
-    attack = config.attack
-
-    if attack is None:
-        return {
-            "qber": 0.0,
-            "eve_accuracy": 0.5,
-            "nonempty_rate": -math.expm1(-eta * mu),
-            "coincidence_rate": coincidence_prob(eta, mu),
-        }
-    if isinstance(attack, InterceptResend):
-        p_att = attack.eps * -math.expm1(-mu) * eta
-        p_un = (1.0 - attack.eps) * -math.expm1(-eta * mu)
-        detected = p_att + p_un
-        return {
-            "qber": 0.25 * p_att / detected if detected else None,
-            "eve_accuracy": (
-                (p_att * IR_MAX_GUESS_PROB + 0.5 * p_un) / detected if detected else None
-            ),
-            "nonempty_rate": detected,
-            "coincidence_rate": (1.0 - attack.eps) * coincidence_prob(eta, mu),
-        }
-    if isinstance(attack, OptimalIncoherent):
-        return {
-            "qber": attack.d,
-            "eve_accuracy": opt_guess_prob(attack.d),
-            "nonempty_rate": -math.expm1(-eta * mu),
-            "coincidence_rate": coincidence_prob(eta, mu),
-        }
-    if isinstance(attack, BsInterceptResend):
-        pred = bs_ir_predict(mu, attack.t, attack.d)
-        return {
-            "qber": pred.d_ab,
-            "eve_accuracy": pred.guess_prob,
-            "nonempty_rate": -math.expm1(-mu * attack.t),
-            "coincidence_rate": (
-                coincidence_prob(attack.t, mu) if attack.d == 0.0 else None
-            ),
-        }
-    if isinstance(attack, BsOptimal):
-        pred = bs_opt_predict(mu, attack.t, attack.d)
-        return {
-            "qber": pred.d_ab,
-            "eve_accuracy": pred.guess_prob,
-            "nonempty_rate": -math.expm1(-mu * attack.t),
-            "coincidence_rate": coincidence_prob(attack.t, mu),
-        }
-    if isinstance(attack, Pns):
-        pred = pns_predict(mu, attack.kappa, attack.d)
-        return {
-            "qber": pred.d_ab,
-            "eve_accuracy": pred.guess_prob,
-            "nonempty_rate": 1.0 - math.exp(-mu) * (1.0 + mu * attack.kappa),
-            "coincidence_rate": _pns_coincidence(mu),
-        }
-    raise TypeError(f"unsupported attack {attack!r}")
+    mu, eta = config.optics.mu, config.optics.eta
+    if config.attack is None:
+        return line_expectations(mu, eta)
+    return config.attack.expectations(mu, eta, config.scenario_a_rule)
 
 
 def scenario_expectations(config: SessionConfig) -> dict[str, float] | None:
     """Expected routing-outcome fractions for beam-splitter attacks, else None."""
-    attack = config.attack
-    if not isinstance(attack, (BsInterceptResend, BsOptimal)):
+    if config.attack is None:
         return None
-    probs = scenario_probs(config.optics.mu, attack.t)
-    return {
-        "both": probs.both,
-        "eve_only": probs.eve_only,
-        "bob_only": probs.bob_only,
-        "empty": probs.empty,
-    }
+    return config.attack.scenario_fractions(config.optics.mu)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .domain import check_range
 
 #: Truncation order of the series oracles; tail < 1e-15 for mu <= 20.
 SERIES_CUTOFF = 60
@@ -43,14 +43,10 @@ class OpticalConfig:
     splitter_t: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.mu <= MAX_MEAN_PHOTON_NUMBER:
-            raise ValueError(
-                f"mu must be in [0, {MAX_MEAN_PHOTON_NUMBER}], got {self.mu!r}"
-            )
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta!r}")
-        if self.splitter_t is not None and not 0.0 <= self.splitter_t <= 1.0:
-            raise ValueError(f"splitter_t must be in [0, 1], got {self.splitter_t!r}")
+        check_range("mu", self.mu, 0.0, MAX_MEAN_PHOTON_NUMBER)
+        check_range("eta", self.eta, 0.0, 1.0)
+        if self.splitter_t is not None:
+            check_range("splitter_t", self.splitter_t, 0.0, 1.0)
 
 
 def poisson_pmf(mu: float, n: int) -> float:
@@ -65,35 +61,15 @@ def poisson_pmf(mu: float, n: int) -> float:
     return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
 
 
-def sample_photon_number(mu: float, rng: np.random.Generator) -> int:
-    """Draw one Poissonian photon count with mean ``mu``."""
-    if mu < 0.0:
-        raise ValueError(f"mu must be >= 0, got {mu!r}")
-    return int(rng.poisson(mu))
-
-
 def split_pmf(n: int, t: float, j: int) -> float:
     """Probability that ``j`` of ``n`` photons are transmitted by a splitter.
 
     Binomial mass ``C(n, j) t^j (1-t)^(n-j)``; photons route independently.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be in [0, 1], got {t!r}")
+    check_range("t", t, 0.0, 1.0)
     if not 0 <= j <= n:
         raise ValueError(f"j must be in [0, n], got j={j!r}, n={n!r}")
     return float(math.comb(n, j)) * t**j * (1.0 - t) ** (n - j)
-
-
-def binomial_split(
-    n: int, t: float, rng: np.random.Generator
-) -> tuple[int, int]:
-    """Route ``n`` photons through a splitter; returns (transmitted, reflected)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n!r}")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be in [0, 1], got {t!r}")
-    transmitted = int(rng.binomial(n, t))
-    return transmitted, n - transmitted
 
 
 @dataclass(frozen=True)
@@ -118,11 +94,9 @@ class ScenarioProbs:
         return self.both + self.eve_only + self.bob_only + self.empty
 
 
-def _check_mu_t(mu: float, t: float) -> None:
-    if not 0.0 <= mu <= MAX_MEAN_PHOTON_NUMBER:
-        raise ValueError(f"mu must be in [0, {MAX_MEAN_PHOTON_NUMBER}], got {mu!r}")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be in [0, 1], got {t!r}")
+def _check_mu_t(mu: float, t: float, t_name: str = "t") -> None:
+    check_range("mu", mu, 0.0, MAX_MEAN_PHOTON_NUMBER)
+    check_range(t_name, t, 0.0, 1.0)
 
 
 def scenario_probs(mu: float, t: float) -> ScenarioProbs:
@@ -201,10 +175,7 @@ def coincidence_prob(eta: float, mu: float) -> float:
     ``(1 + e^(-eta mu) - 2 e^(-eta mu / 2)) / 2``, which already includes the
     1/2 chance of choosing the wrong basis.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta!r}")
-    if not 0.0 <= mu <= MAX_MEAN_PHOTON_NUMBER:
-        raise ValueError(f"mu must be in [0, {MAX_MEAN_PHOTON_NUMBER}], got {mu!r}")
+    _check_mu_t(mu, eta, "eta")
     em = eta * mu
     return 0.5 * (1.0 + math.exp(-em) - 2.0 * math.exp(-em / 2.0))
 
@@ -218,10 +189,7 @@ def coincidence_prob_series(
     ``1 - 2^(1-n)`` (the summed binomial routing terms), weighted by the
     Poissonian of mean ``eta mu`` and the 1/2 wrong-basis probability.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta!r}")
-    if not 0.0 <= mu <= MAX_MEAN_PHOTON_NUMBER:
-        raise ValueError(f"mu must be in [0, {MAX_MEAN_PHOTON_NUMBER}], got {mu!r}")
+    _check_mu_t(mu, eta, "eta")
     em = eta * mu
     total = 0.0
     for n in range(2, n_max + 1):

@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .pulse_attacks import full_break_transmission, kappa_for_channel
-from .single_photon import SQRT2, opt_guess_prob
+from .domain import check_range
+from .pulse_attacks import ATTACKS, Attack, ThresholdResult
 
-THRESHOLD_KINDS = ("ir", "opt", "bs_ir", "bs_opt", "pns")
+THRESHOLD_KINDS = tuple(ATTACKS)
 
 _UNITS = ("bits", "nats")
 
@@ -116,32 +116,17 @@ def info_curve_point(
     )
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
-    """Largest tolerable observed error rate, with the total-break flag.
-
-    ``break_possible`` is set only for photon-number splitting on lines lossy
-    enough that the attack causes no errors at all; the threshold is then 0.
-    """
-
-    max_d_ab: float
-    break_possible: bool = False
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in THRESHOLD_KINDS:
+def _attack(kind: str, mu: float | None, eta: float | None) -> type[Attack]:
+    """Look ``kind`` up in the attack table and check the line it needs."""
+    if kind not in ATTACKS:
         raise ValueError(f"kind must be one of {THRESHOLD_KINDS}, got {kind!r}")
-
-
-def _check_mu_eta(kind: str, mu: float | None, eta: float | None) -> None:
-    if kind in ("ir", "opt"):
-        return
-    if mu is None or eta is None:
-        raise ValueError(f"kind {kind!r} requires mu and eta")
-    if mu <= 0.0:
-        raise ValueError(f"mu must be > 0, got {mu!r}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta!r}")
+    attack = ATTACKS[kind]
+    if attack.uses_channel:
+        if mu is None or eta is None:
+            raise ValueError(f"kind {kind!r} requires mu and eta")
+        check_range("mu", mu, 0.0, open_lo=True)
+        check_range("eta", eta, 0.0, 1.0)
+    return attack
 
 
 def threshold(
@@ -155,27 +140,7 @@ def threshold(
     and collapses to zero once the line is lossy enough for a total break.
     ``mu`` and ``eta`` are ignored for the single-photon kinds.
     """
-    _check_kind(kind)
-    _check_mu_eta(kind, mu, eta)
-    if kind == "ir":
-        return ThresholdResult(1.0 / (2.0 * (1.0 + SQRT2)))
-    if kind == "opt":
-        return ThresholdResult((2.0 - SQRT2) / 4.0)
-    assert mu is not None and eta is not None
-    if kind == "bs_ir":
-        dilution = math.exp(-mu * (1.0 - eta))
-        return ThresholdResult(
-            (2.0 - SQRT2 * (1.0 - dilution)) / (4.0 * (1.0 + SQRT2))
-        )
-    if kind == "bs_opt":
-        return ThresholdResult((2.0 - SQRT2) / 4.0 * math.exp(-mu * (1.0 - eta)))
-    # pns
-    bracket = (1.0 + mu) * math.exp(-mu) - math.exp(-eta * mu)
-    if bracket <= 0.0:
-        return ThresholdResult(0.0, break_possible=True)
-    return ThresholdResult(
-        (2.0 - SQRT2) / 4.0 * bracket / (1.0 - math.exp(-eta * mu))
-    )
+    return _attack(kind, mu, eta).threshold(mu, eta)
 
 
 def eve_accuracy_at(
@@ -183,38 +148,15 @@ def eve_accuracy_at(
 ) -> float:
     """Eavesdropper's guess probability as a function of the observed error rate.
 
-    Inverts the disturbance dilution to recover the per-attacked-pulse
-    strength implied by ``d_ab`` and evaluates the attack's closed form.  The
-    curve is the analytic continuation beyond the attack's physical range
-    (needed so the information crossing and the linear criterion coincide);
-    the returned value is capped at 1.
+    The attack strength (and the tap or blocking, matched to the line) is the
+    one that produces ``d_ab``.  The curve is the analytic continuation beyond
+    the attack's physical range (needed so the information crossing and the
+    linear criterion coincide); the returned value is capped at 1.
     """
-    _check_kind(kind)
-    _check_mu_eta(kind, mu, eta)
+    attack = _attack(kind, mu, eta)
     if not 0.0 <= d_ab <= 0.5:
         raise ValueError(f"d_ab must be in [0, 1/2], got {d_ab!r}")
-    if kind == "ir":
-        return min(1.0, SQRT2 * d_ab + 0.5)
-    if kind == "opt":
-        return opt_guess_prob(d_ab)
-    assert mu is not None and eta is not None
-    dilution = math.exp(-mu * (1.0 - eta))
-    if kind == "bs_ir":
-        d = d_ab / dilution
-        guess = (SQRT2 + 2.0) / 4.0 - dilution * SQRT2 * (0.25 - d)
-        return min(1.0, guess)
-    if kind == "bs_opt":
-        d = min(d_ab / dilution, 0.5)
-        return 1.0 - dilution * (0.5 - math.sqrt(d * (1.0 - d)))
-    # pns
-    cal = kappa_for_channel(mu, eta)
-    if cal.break_possible:
-        return 1.0
-    p_single_kept = (1.0 - cal.kappa) * mu * math.exp(-mu)
-    denom = 1.0 - math.exp(-mu) * (1.0 + mu * cal.kappa)
-    d = min(d_ab * denom / p_single_kept, 0.5)
-    p_multi = 1.0 - math.exp(-mu) * (1.0 + mu)
-    return min(1.0, (p_multi + p_single_kept * opt_guess_prob(d)) / denom)
+    return attack.guess_at(d_ab, mu, eta)
 
 
 def crossing_point(
@@ -223,19 +165,14 @@ def crossing_point(
     """Error rate where the parties' information meets the eavesdropper's.
 
     Bisects ``i_ab(d) = i_eve(eve_accuracy_at(kind, d))`` on
-    ``(1e-12, 1/2 - 1e-12)``; both curves are monotone there.  Returns 0 in
-    the photon-number-splitting total-break region, where the eavesdropper's
-    curve sits at one bit for every error rate and there is no crossing.
+    ``(1e-12, 1/2 - 1e-12)``; both curves are monotone there.  Returns 0 when
+    the eavesdropper's curve already sits at one bit at the lower end, as in
+    the photon-number-splitting total-break region.
     """
-    _check_kind(kind)
-    _check_mu_eta(kind, mu, eta)
-    if kind == "pns":
-        assert mu is not None and eta is not None
-        if eta <= full_break_transmission(mu):
-            return 0.0
+    curve = _attack(kind, mu, eta).guess_at
 
     def gap(d: float) -> float:
-        return i_ab(d) - i_eve(eve_accuracy_at(kind, d, mu, eta))
+        return i_ab(d) - i_eve(curve(d, mu, eta))
 
     lo, hi = _BISECT_LO, _BISECT_HI
     if gap(lo) <= 0.0:

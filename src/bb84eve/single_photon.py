@@ -17,13 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import check_range
 from .states import (
-    BREIDBART_ANGLE,
+    BREIDBART_M0,
+    BREIDBART_RESEND_BIT1,
     KET_U,
     KET_V,
     KET_X,
     KET_Y,
-    breidbart_basis,
+    SIGNAL_KETS,
 )
 
 _TOL = 1e-12
@@ -43,15 +45,13 @@ def ir_guess_prob(eps: float) -> float:
     ``eps/2 (1 + 1/sqrt(2)) + (1 - eps)/2``: measured signals are guessed from
     the Breidbart outcome, the rest by a fair coin.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps!r}")
+    check_range("eps", eps, 0.0, 1.0)
     return 0.5 * eps * (1.0 + 1.0 / SQRT2) + 0.5 * (1.0 - eps)
 
 
 def ir_disturbance(eps: float) -> float:
     """Sifted-key error rate ``eps/4`` of the thinned intercept-resend."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps!r}")
+    check_range("eps", eps, 0.0, 1.0)
     return 0.25 * eps
 
 
@@ -60,8 +60,7 @@ def ir_guess_given_disturbance(d: float) -> float:
 
     ``d`` may not exceed 1/4, the error rate when every signal is measured.
     """
-    if not 0.0 <= d <= 0.25:
-        raise ValueError(f"d must be in [0, 1/4], got {d!r}")
+    check_range("d", d, 0.0, 0.25)
     return SQRT2 * d + 0.5
 
 
@@ -77,6 +76,7 @@ def helstrom(overlap: float) -> float:
 
 def opt_guess_prob(d: float) -> float:
     """Guess probability ``1/2 + sqrt(d(1-d))`` of the optimal probe attack."""
+    # checked inline: every point of a probe or PNS sweep lands here
     if not 0.0 <= d <= 0.5:
         raise ValueError(f"d must be in [0, 1/2], got {d!r}")
     return 0.5 + math.sqrt(d * (1.0 - d))
@@ -101,8 +101,7 @@ class ProbeModel:
     disturbance_overlap: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.disturbance <= 0.5:
-            raise ValueError(f"disturbance must be in [0, 1/2], got {self.disturbance!r}")
+        check_range("disturbance", self.disturbance, 0.0, 0.5)
         if abs(self.fidelity + self.disturbance - 1.0) > _TOL:
             raise ValueError("fidelity + disturbance must equal 1")
         lhs = self.fidelity - self.disturbance
@@ -125,8 +124,7 @@ def probe_model_from_disturbance(d: float) -> ProbeModel:
     Solving the three constraints gives ``F = 1 - d``,
     ``F1 = F (1 - 2 d)`` and ``D1 = d (1 - 2 d)``.
     """
-    if not 0.0 <= d <= 0.5:
-        raise ValueError(f"d must be in [0, 1/2], got {d!r}")
+    check_range("d", d, 0.0, 0.5)
     fidelity = 1.0 - d
     ratio = 1.0 - 2.0 * d
     return ProbeModel(
@@ -278,38 +276,27 @@ def simulate_ir_attack(
     measures in a uniform independent basis; only same-basis trials enter the
     sifted statistics.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps!r}")
+    check_range("eps", eps, 0.0, 1.0)
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials!r}")
 
-    bb = breidbart_basis(BREIDBART_ANGLE)
-    # P(outcome M0 | signal), indexed [basis, bit] with bases (XY, UV).
-    signal_kets = ((KET_X, KET_Y), (KET_V, KET_U))
-    p_m0 = np.array(
-        [[float(bb.ket0 @ ket) ** 2 for ket in kets] for kets in signal_kets]
-    )
-    # P(receiver outcome = bit 1 | state, measurement basis); bit-1 kets are y, u.
-    bit1_kets = (KET_Y, KET_U)
+    # P(receiver outcome = bit 1 | signal, measurement basis); bit-1 kets are y, u.
     p1_signal = np.array(
         [
-            [[float(b1 @ ket) ** 2 for ket in kets] for kets in signal_kets]
-            for b1 in bit1_kets
+            [[float(b1 @ ket) ** 2 for ket in kets] for kets in SIGNAL_KETS]
+            for b1 in (KET_Y, KET_U)
         ]
-    )
-    p1_breidbart = np.array(
-        [[float(b1 @ k) ** 2 for k in (bb.ket0, bb.ket1)] for b1 in bit1_kets]
     )
 
     bits = rng.integers(0, 2, n_trials)
     bases = rng.integers(0, 2, n_trials)
     attacked = rng.random(n_trials) < eps
-    eve_outcome = (rng.random(n_trials) >= p_m0[bases, bits]).astype(np.int64)
+    eve_outcome = (rng.random(n_trials) >= BREIDBART_M0[bases, bits]).astype(np.int64)
     bob_basis = rng.integers(0, 2, n_trials)
 
     p_bit1 = np.where(
         attacked,
-        p1_breidbart[bob_basis, eve_outcome],
+        BREIDBART_RESEND_BIT1[bob_basis, eve_outcome],
         p1_signal[bob_basis, bases, bits],
     )
     bob_bit = (rng.random(n_trials) < p_bit1).astype(np.int64)
@@ -340,8 +327,7 @@ def simulate_opt_attack(
     overlap.  The state-vector construction itself is exercised separately by
     :func:`verify_unitarity`.
     """
-    if not 0.0 <= d <= 0.5:
-        raise ValueError(f"d must be in [0, 1/2], got {d!r}")
+    check_range("d", d, 0.0, 0.5)
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials!r}")
 

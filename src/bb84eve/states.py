@@ -1,4 +1,4 @@
-"""Polarization states and projective measurement for four-state QKD.
+"""Polarization states and the Breidbart measurement for four-state QKD.
 
 Everything lives in a real two-dimensional polarization space spanned by
 ``|x> = (1, 0)`` and ``|y> = (0, 1)``.  The conjugate basis holds the
@@ -12,11 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
-
-NORM_TOL = 1e-12
 
 #: Measurement angle of the intermediate (Breidbart) basis, the maximizer of
 #: the bit-guessing probability over all projective measurements.
@@ -27,23 +24,9 @@ KET_Y = np.array([0.0, 1.0])
 KET_U = np.array([1.0, 1.0]) / math.sqrt(2.0)
 KET_V = np.array([1.0, -1.0]) / math.sqrt(2.0)
 
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-
-
-class Basis(Enum):
-    """The two encoding bases: XY (rectilinear) and UV (diagonal)."""
-
-    XY = "XY"
-    UV = "UV"
-
-
-@dataclass(frozen=True)
-class BB84Signal:
-    """One signal as prepared by the sender: basis, logical bit, state vector."""
-
-    basis: Basis
-    bit: int
-    state: np.ndarray
+#: The four signals, indexed [basis][bit] with bases (XY, UV): the bit-0/bit-1
+#: kets are (x, y) and (v, u).
+SIGNAL_KETS = ((KET_X, KET_Y), (KET_V, KET_U))
 
 
 @dataclass(frozen=True)
@@ -57,64 +40,6 @@ class BreidbartBasis:
     theta: float
     ket0: np.ndarray
     ket1: np.ndarray
-
-
-# Bit-0 / bit-1 kets per basis, in the order (XY, UV).
-_KETS_BIT0 = (KET_X, KET_V)
-_KETS_BIT1 = (KET_Y, KET_U)
-
-
-def _require_unit(vec: np.ndarray, name: str) -> None:
-    if abs(float(vec @ vec) - 1.0) > NORM_TOL:
-        raise ValueError(f"{name} must be a unit vector, got norm^2 = {float(vec @ vec)!r}")
-
-
-def encode(bit: int, basis: Basis) -> BB84Signal:
-    """Return the signal carrying ``bit`` in ``basis``.
-
-    The state is ``|x>``/``|y>`` for bits 0/1 in the XY basis and
-    ``|v>``/``|u>`` in the UV basis.
-    """
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    if not isinstance(basis, Basis):
-        raise ValueError(f"basis must be a Basis, got {basis!r}")
-    idx = 0 if basis is Basis.XY else 1
-    state = _KETS_BIT1[idx] if bit else _KETS_BIT0[idx]
-    return BB84Signal(basis=basis, bit=bit, state=state)
-
-
-def born_prob(state: np.ndarray, outcome: np.ndarray) -> float:
-    """Probability ``<outcome|state>^2`` of projecting ``state`` onto ``outcome``.
-
-    Both arguments must be unit vectors.
-    """
-    state = np.asarray(state, dtype=float)
-    outcome = np.asarray(outcome, dtype=float)
-    _require_unit(state, "state")
-    _require_unit(outcome, "outcome")
-    amp = float(outcome @ state)
-    return min(amp * amp, 1.0)
-
-
-def measure(
-    state: np.ndarray,
-    basis_states: tuple[np.ndarray, np.ndarray],
-    rng: np.random.Generator,
-) -> int:
-    """Projective measurement of ``state`` in an orthonormal two-outcome basis.
-
-    Returns 0 with probability ``born_prob(state, basis_states[0])`` and 1
-    otherwise, consuming exactly one uniform draw from ``rng``.
-    """
-    b0 = np.asarray(basis_states[0], dtype=float)
-    b1 = np.asarray(basis_states[1], dtype=float)
-    _require_unit(b0, "basis_states[0]")
-    _require_unit(b1, "basis_states[1]")
-    if abs(float(b0 @ b1)) > NORM_TOL:
-        raise ValueError("basis_states must be orthogonal")
-    p0 = born_prob(state, b0)
-    return 0 if rng.random() < p0 else 1
 
 
 def breidbart_basis(theta: float = BREIDBART_ANGLE) -> BreidbartBasis:
@@ -132,3 +57,17 @@ def breidbart_guess_prob(theta: float) -> float:
     ``(2 + sqrt(2))/4``.
     """
     return 0.5 + 0.25 * (math.cos(2.0 * theta) + math.sin(2.0 * theta))
+
+
+_BB = breidbart_basis()
+
+#: P(Breidbart outcome M0 | signal), indexed [basis, bit].
+BREIDBART_M0 = np.array([[float(_BB.ket0 @ ket) ** 2 for ket in kets] for kets in SIGNAL_KETS])
+
+#: P(receiver reads bit 1 | resent Breidbart state of outcome m), indexed
+#: [receiver basis, m]; the bit-1 kets are y and u.
+BREIDBART_RESEND_BIT1 = np.array(
+    [[float(b1 @ k) ** 2 for k in (_BB.ket0, _BB.ket1)] for b1 in (KET_Y, KET_U)]
+)
+BREIDBART_M0.setflags(write=False)
+BREIDBART_RESEND_BIT1.setflags(write=False)

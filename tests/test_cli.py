@@ -8,6 +8,12 @@ import pytest
 from bb84eve.security import threshold
 
 
+def assert_one_line_error(result: subprocess.CompletedProcess, text: str) -> None:
+    lines = result.stderr.decode().strip().splitlines()
+    assert len(lines) == 1 and text in lines[0], lines
+    assert result.stdout == b""
+
+
 def run_cli(*args: str, expect: int = 0) -> subprocess.CompletedProcess:
     result = subprocess.run(
         [sys.executable, "-m", "bb84eve", *args],
@@ -53,6 +59,11 @@ class TestThresholdsCommand:
     def test_validation_exit_code(self):
         run_cli("thresholds", "--mu", "0.0", expect=2)
         run_cli("thresholds", expect=2)
+
+    def test_non_finite_mu_is_a_usage_error(self):
+        for mu in ("inf", "nan"):
+            result = run_cli("thresholds", "--mu", mu, "--format", "json", expect=2)
+            assert_one_line_error(result, "mu must be finite")
 
     def test_manifest_on_stderr(self):
         result = run_cli("thresholds", "--mu", "1", "--eta", "0.9")
@@ -115,6 +126,11 @@ class TestSweepCommand:
     def test_validation(self):
         run_cli("sweep", "--strategy", "ir", "--d-min", "0.3", "--d-max", "0.2", expect=2)
         run_cli("sweep", expect=2)
+
+    def test_lossless_bs_ir_sweep_starts_at_zero_information(self):
+        raw = run_cli("sweep", "--strategy", "bs-ir", "--mu", "1", "--eta", "1").stdout.decode()
+        first = raw.splitlines()[1].split(",")
+        assert float(first[0]) == 0.0 and float(first[2]) == 0.0
 
 
 class TestSimulateCommand:
@@ -189,6 +205,62 @@ class TestSimulateCommand:
             "--seed", "2", "--format", "json", "--output", str(out),
         )
         assert json.loads(out.read_text())["stats"]["n_pulses"] == 1000
+
+    def test_check_has_every_rate_of_every_attack(self):
+        for attack in (
+            ("--attack", "none"),
+            ("--attack", "ir", "--eps", "0.5"),
+            ("--attack", "opt", "--d", "0.1"),
+            ("--attack", "bs-ir", "--t", "0.5", "--d", "0.1"),
+            ("--attack", "bs-ir", "--t", "0.5", "--d", "0.1", "--scenario-a-rule", "majority"),
+            ("--attack", "bs-opt", "--t", "0.9", "--d", "0.1"),
+            ("--attack", "pns", "--d", "0.05"),
+        ):
+            doc = json.loads(
+                run_cli(
+                    "simulate", *attack, "--mu", "3", "--eta", "0.9", "--pulses", "200000",
+                    "--seed", "4", "--check", "--format", "json",
+                ).stdout
+            )
+            assert [c["metric"] for c in doc["check"]] == [
+                "qber", "eve_accuracy", "nonempty_rate", "coincidence_rate",
+            ], attack
+            for entry in doc["check"]:
+                assert entry["sigma_distance"] < 3.0, (attack, entry)
+
+    def test_check_without_spread_stays_strict_json(self):
+        # No coincidence in 1000 faint pulses: zero standard error, no distance.
+        result = run_cli(
+            "simulate", "--attack", "none", "--mu", "0.001", "--pulses", "1000",
+            "--check", "--format", "json",
+        )
+        doc = json.loads(result.stdout, parse_constant=pytest.fail)
+        coincidence = [c for c in doc["check"] if c["metric"] == "coincidence_rate"]
+        assert coincidence[0]["sigma_distance"] is None
+        text = run_cli(
+            "simulate", "--attack", "none", "--mu", "0.001", "--pulses", "1000", "--check",
+        ).stdout.decode()
+        assert "(no spread)" in text
+
+    def test_missing_config_is_a_usage_error(self, tmp_path):
+        result = run_cli(
+            "simulate", "--mu", "1", "--config", str(tmp_path / "missing.json"), expect=2
+        )
+        assert_one_line_error(result, "No such file")
+
+    def test_config_must_be_an_object(self, tmp_path):
+        for content in ("[1, 2]", '{"params": [1]}'):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(content)
+            result = run_cli("simulate", "--mu", "1", "--config", str(cfg), expect=2)
+            assert_one_line_error(result, "must hold a JSON object")
+
+    def test_config_values_must_be_scalars(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"mu": [1]}')
+        for command in ("thresholds", "simulate"):
+            result = run_cli(command, "--config", str(cfg), expect=2)
+            assert_one_line_error(result, "must be a number or a string")
 
     def test_validation(self):
         run_cli("simulate", "--attack", "bs-ir", "--mu", "1", expect=2)  # missing --t

@@ -20,7 +20,53 @@ from bb84eve.pulse_attacks import (
     Pns,
     kappa_for_channel,
 )
+from bb84eve.engine import _simulate_batch
 from bb84eve.pulse_optics import OpticalConfig, coincidence_prob, poisson_pmf
+from bb84eve.single_photon import IR_MAX_GUESS_PROB
+
+N_MAX = 60
+
+
+def split_terms(mu: float, t: float):
+    """(weight, k_bob, k_eve) over source photon numbers up to N_MAX."""
+    for n in range(N_MAX + 1):
+        p_n = poisson_pmf(mu, n)
+        for k_bob in range(n + 1):
+            yield p_n * scistats.binom.pmf(k_bob, n, t), k_bob, n - k_bob
+
+
+def series_bs_ir_majority_accuracy(mu: float, t: float, d: float) -> float:
+    """Eavesdropper's accuracy on detected pulses, summed over the photon split."""
+    right = total = 0.0
+    for w, k_bob, k_eve in split_terms(mu, t):
+        if k_bob == 0:
+            continue
+        total += w
+        if k_eve == 0:
+            right += w * (4 * d * IR_MAX_GUESS_PROB + (1 - 4 * d) * 0.5)
+        else:
+            votes = scistats.binom(k_eve, IR_MAX_GUESS_PROB)
+            half = k_eve / 2
+            tie = votes.pmf(half) if k_eve % 2 == 0 else 0.0
+            right += w * (votes.sf(math.floor(half)) + 0.5 * tie)
+    return right / total
+
+
+def series_bs_ir_coincidence(mu: float, t: float, d: float) -> float:
+    """Wrong-basis double clicks: unattacked pulses of >= 2 receiver photons."""
+    total = 0.0
+    for w, k_bob, k_eve in split_terms(mu, t):
+        if k_bob >= 2:
+            kept = 1.0 - 4 * d if k_eve == 0 else 1.0
+            total += w * kept * 0.5 * (1.0 - 2.0 ** (1 - k_bob))
+    return total
+
+
+def series_pns_coincidence(mu: float) -> float:
+    """An n-photon pulse delivers n - 1 photons to the receiver."""
+    return 0.5 * sum(
+        poisson_pmf(mu, n) * (1.0 - 2.0 ** (2 - n)) for n in range(3, N_MAX + 1)
+    )
 
 
 def make_config(attack, mu=1.0, eta=1.0, n_pulses=400_000, seed=42, **kwargs):
@@ -189,6 +235,81 @@ class TestSplitterSessions:
         assert gap > 3 * majority_ir.eve_accuracy_stderr
         # and the probe hybrid reads the tap perfectly regardless
         assert single.eve_accuracy > majority_ir.eve_accuracy
+
+
+class TestCompleteExpectations:
+    def test_majority_accuracy_matches_series(self):
+        for mu, t, d in ((3.0, 0.5, 0.1), (1.0, 0.9, 0.0), (0.4, 0.2, 0.25)):
+            cfg = make_config(BsInterceptResend(t=t, d=d), mu=mu, scenario_a_rule="majority")
+            assert abs(
+                analytic_expectations(cfg)["eve_accuracy"]
+                - series_bs_ir_majority_accuracy(mu, t, d)
+            ) < 1e-12
+        cfg = make_config(BsInterceptResend(t=0.5, d=0.1), mu=3.0, scenario_a_rule="majority")
+        assert analytic_expectations(cfg)["eve_accuracy"] == pytest.approx(0.82374, abs=1e-5)
+
+    def test_bs_ir_coincidence_matches_series(self):
+        for mu, t, d in ((3.0, 0.5, 0.1), (1.0, 0.9, 0.25), (0.4, 0.2, 0.0)):
+            cfg = make_config(BsInterceptResend(t=t, d=d), mu=mu)
+            assert abs(
+                analytic_expectations(cfg)["coincidence_rate"]
+                - series_bs_ir_coincidence(mu, t, d)
+            ) < 1e-12
+
+    def test_pns_coincidence_matches_series(self):
+        for mu in (0.05, 0.5, 1.0, 3.0, 10.0):
+            cfg = make_config(Pns(kappa=0.1, d=0.05), mu=mu)
+            assert abs(
+                analytic_expectations(cfg)["coincidence_rate"] - series_pns_coincidence(mu)
+            ) < 1e-14
+
+    def test_every_rate_has_a_value(self):
+        for attack in (
+            None, InterceptResend(eps=0.5), OptimalIncoherent(d=0.1),
+            BsInterceptResend(t=0.9, d=0.1), BsOptimal(t=0.9, d=0.1), Pns(kappa=0.1, d=0.05),
+        ):
+            for rule in ("single_result", "majority"):
+                values = analytic_expectations(make_config(attack, scenario_a_rule=rule))
+                assert all(v is not None for v in values.values()), (attack, rule)
+
+    def test_majority_session_matches(self):
+        cfg = make_config(
+            BsInterceptResend(t=0.5, d=0.1), mu=3.0, scenario_a_rule="majority", seed=9
+        )
+        stats = run_session(cfg)
+        expected = analytic_expectations(cfg)
+        assert_within_3_sigma(
+            stats.eve_accuracy, expected["eve_accuracy"], stats.eve_accuracy_stderr
+        )
+
+    def test_bs_ir_coincidence_session_matches(self):
+        cfg = make_config(BsInterceptResend(t=0.8, d=0.25), mu=2.0, n_pulses=1_000_000)
+        stats = run_session(cfg)
+        expected = analytic_expectations(cfg)
+        assert_within_3_sigma(
+            stats.coincidence_rate, expected["coincidence_rate"], stats.coincidence_stderr
+        )
+
+
+class _TwoPhotonResend:
+    """A generator whose resent photons survive twice: breaks the resend rule."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def binomial(self, n, p, size=None):
+        if np.isscalar(n) and n == 1:
+            return np.full(size, 2)
+        return self._rng.binomial(n, p, size)
+
+
+def test_resend_rule_is_checked_without_assert():
+    cfg = make_config(InterceptResend(eps=1.0), n_pulses=1000)
+    with pytest.raises(RuntimeError, match="more than one photon"):
+        _simulate_batch(cfg, _TwoPhotonResend(shard_rng(1, 0)), 1000)
 
 
 class TestPnsSessions:

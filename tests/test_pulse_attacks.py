@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bb84eve.pulse_attacks import (
+    ATTACKS,
     BsInterceptResend,
     BsOptimal,
     InterceptResend,
@@ -16,6 +17,7 @@ from bb84eve.pulse_attacks import (
     pns_predict,
 )
 from bb84eve.pulse_optics import scenario_probs
+from bb84eve.security import THRESHOLD_KINDS, eve_accuracy_at, threshold
 from bb84eve.single_photon import (
     ir_guess_given_disturbance,
     opt_guess_prob,
@@ -63,6 +65,12 @@ class TestBsInterceptResend:
         pred = bs_ir_predict(1.0, 0.9, 0.25)
         assert pred.guess_prob == pytest.approx(0.8535533905932737, abs=1e-12)
         assert pred.d_ab == pytest.approx(0.2262093545089899, abs=1e-12)
+
+    def test_lossless_line_gives_exactly_one_half(self):
+        # No tap and no attack: the eavesdropper can only toss a coin.
+        for mu in (0.1, 0.5, 1.0, 3.0, 20.0):
+            assert eve_accuracy_at("bs_ir", 0.0, mu, eta=1.0) == 0.5
+            assert bs_ir_predict(mu, 1.0, 0.0).guess_prob == 0.5
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
@@ -178,6 +186,11 @@ class TestKappaCalibration:
                     (1.0 - kappa) * p1 + p_multi - (1.0 - math.exp(-eta * mu))
                 ) < 1e-12
 
+    def test_kappa_past_the_float_range_is_a_total_break(self):
+        cal = kappa_for_channel(1000.0, 0.1)
+        assert cal.kappa == math.inf
+        assert cal.break_possible
+
     def test_raw_value_and_flag_in_break_region(self):
         cal = kappa_for_channel(1.0, 0.2)
         assert cal.kappa > 1.0
@@ -234,3 +247,47 @@ class TestStrategyValidation:
         BsInterceptResend(t=1.0, d=0.25)
         BsOptimal(t=0.0, d=0.5)
         Pns(kappa=1.0, d=0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_values(self, bad):
+        for build in (
+            lambda: InterceptResend(eps=bad),
+            lambda: OptimalIncoherent(d=bad),
+            lambda: BsInterceptResend(t=bad, d=0.1),
+            lambda: BsOptimal(t=0.9, d=bad),
+            lambda: Pns(kappa=bad, d=0.1),
+            lambda: bs_ir_predict(bad, 0.9, 0.1),
+            lambda: bs_opt_predict(bad, 0.9, 0.1),
+            lambda: pns_predict(bad, 0.1, 0.1),
+            lambda: kappa_for_channel(bad, 0.9),
+            lambda: kappa_for_channel(1.0, bad),
+            lambda: full_break_transmission(bad),
+        ):
+            with pytest.raises(ValueError, match="must be finite"):
+                build()
+
+
+class TestAttackTable:
+    def test_names_are_listed_once(self):
+        assert THRESHOLD_KINDS == tuple(ATTACKS) == ("ir", "opt", "bs_ir", "bs_opt", "pns")
+        for name, cls in ATTACKS.items():
+            assert cls.name == name
+
+    def test_from_params_fills_only_a_missing_kappa(self):
+        pns = ATTACKS["pns"].from_params({"kappa": None, "d": 0.05}, 1.0, 0.9)
+        assert pns == Pns(kappa=kappa_for_channel(1.0, 0.9).kappa, d=0.05)
+        assert ATTACKS["pns"].from_params({"kappa": None, "d": 0.0}, 1.0, 0.2).kappa == 1.0
+        with pytest.raises(ValueError, match="requires t"):
+            ATTACKS["bs_ir"].from_params({"t": None, "d": 0.1}, 1.0, 0.9)
+
+    def test_curve_meets_threshold_on_the_linear_criterion(self):
+        # d = 1 - p(d) at the closed-form threshold, for every attack.
+        for kind, cls in ATTACKS.items():
+            for mu, eta in ((0.3, 0.9), (1.0, 0.9), (2.0, 0.7)):
+                thr = cls.threshold(mu, eta)
+                if thr.break_possible:
+                    assert cls.guess_at(0.0, mu, eta) == 1.0
+                    continue
+                assert thr == threshold(kind, mu, eta)
+                p = cls.guess_at(thr.max_d_ab, mu, eta)
+                assert abs(thr.max_d_ab - (1.0 - p)) < 1e-12

@@ -6,13 +6,11 @@ from scipy import stats
 
 from bb84eve.pulse_optics import (
     OpticalConfig,
-    binomial_split,
     bob_count_pmf_after_splitter,
     bob_count_pmf_series,
     coincidence_prob,
     coincidence_prob_series,
     poisson_pmf,
-    sample_photon_number,
     scenario_probs,
     scenario_probs_series,
     split_pmf,
@@ -42,27 +40,6 @@ class TestPoissonPmf:
             poisson_pmf(1.0, -1)
 
 
-class TestSamplePhotonNumber:
-    def test_vacuum_source(self):
-        rng = np.random.default_rng(0)
-        assert all(sample_photon_number(0.0, rng) == 0 for _ in range(100))
-
-    def test_empirical_empty_fraction(self):
-        rng = np.random.default_rng(1)
-        n = 1_000_000
-        draws = np.fromiter(
-            (sample_photon_number(1.0, rng) for _ in range(n)), dtype=np.int64, count=n
-        )
-        p0 = math.exp(-1.0)
-        sigma = math.sqrt(p0 * (1 - p0) / n)
-        assert abs(np.mean(draws == 0) - p0) < 3 * sigma
-        assert abs(float(np.mean(draws)) - 1.0) < 3.0 / math.sqrt(n)
-
-    def test_rejects_negative_mean(self):
-        with pytest.raises(ValueError):
-            sample_photon_number(-0.5, np.random.default_rng(0))
-
-
 class TestSplitPmf:
     def test_perfect_transmission(self):
         for n in (0, 1, 5):
@@ -75,23 +52,6 @@ class TestSplitPmf:
     def test_rejects_out_of_range_count(self):
         with pytest.raises(ValueError):
             split_pmf(2, 0.5, 3)
-
-    def test_binomial_split_edges(self):
-        rng = np.random.default_rng(2)
-        assert binomial_split(0, 0.3, rng) == (0, 0)
-        assert binomial_split(5, 1.0, rng) == (5, 0)
-
-    def test_binomial_split_frequency(self):
-        rng = np.random.default_rng(3)
-        n = 1_000_000
-        draws = rng.binomial(2, 0.5, n)  # same sampler binomial_split wraps
-        even = float(np.mean(draws == 1))
-        sigma = math.sqrt(0.5 * 0.5 / n)
-        assert abs(even - 0.5) < 3 * sigma
-        # spot-check the wrapper itself preserves the photon count
-        for _ in range(100):
-            t, r = binomial_split(7, 0.3, rng)
-            assert t + r == 7
 
 
 class TestScenarioProbs:

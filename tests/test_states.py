@@ -5,57 +5,41 @@ import pytest
 
 from bb84eve.states import (
     BREIDBART_ANGLE,
-    HADAMARD,
+    BREIDBART_M0,
+    BREIDBART_RESEND_BIT1,
     KET_U,
     KET_V,
     KET_X,
     KET_Y,
-    Basis,
-    born_prob,
+    SIGNAL_KETS,
     breidbart_basis,
     breidbart_guess_prob,
-    encode,
-    measure,
 )
 
 SQRT2 = math.sqrt(2.0)
 
 
+def overlap_sq(a: np.ndarray, b: np.ndarray) -> float:
+    return float(a @ b) ** 2
+
+
 class TestEncoding:
     def test_bit_state_table(self):
-        assert np.allclose(encode(0, Basis.XY).state, [1.0, 0.0], atol=1e-15)
-        assert np.allclose(encode(1, Basis.XY).state, [0.0, 1.0], atol=1e-15)
-        assert np.allclose(encode(1, Basis.UV).state, [1 / SQRT2, 1 / SQRT2], atol=1e-15)
-        assert np.allclose(encode(0, Basis.UV).state, [1 / SQRT2, -1 / SQRT2], atol=1e-15)
+        xy, uv = 0, 1
+        assert np.allclose(SIGNAL_KETS[xy][0], [1.0, 0.0], atol=1e-15)
+        assert np.allclose(SIGNAL_KETS[xy][1], [0.0, 1.0], atol=1e-15)
+        assert np.allclose(SIGNAL_KETS[uv][1], [1 / SQRT2, 1 / SQRT2], atol=1e-15)
+        assert np.allclose(SIGNAL_KETS[uv][0], [1 / SQRT2, -1 / SQRT2], atol=1e-15)
 
     def test_signals_are_normalized(self):
-        for bit in (0, 1):
-            for basis in Basis:
-                state = encode(bit, basis).state
+        for kets in SIGNAL_KETS:
+            for state in kets:
                 assert abs(float(state @ state) - 1.0) < 1e-12
 
-    def test_rejects_bad_bit(self):
-        with pytest.raises(ValueError):
-            encode(2, Basis.XY)
-
     def test_hadamard_maps_xy_to_uv(self):
-        assert np.max(np.abs(HADAMARD @ KET_X - KET_U)) < 1e-12
-        assert np.max(np.abs(HADAMARD @ KET_Y - KET_V)) < 1e-12
-
-
-class TestBornProb:
-    def test_identity_and_orthogonality(self):
-        assert born_prob(KET_X, KET_X) == pytest.approx(1.0, abs=1e-15)
-        assert born_prob(KET_X, KET_Y) == pytest.approx(0.0, abs=1e-15)
-
-    def test_conjugate_basis_overlap_is_half(self):
-        assert born_prob(KET_U, KET_X) == pytest.approx(0.5, abs=1e-15)
-
-    def test_rejects_unnormalized_input(self):
-        with pytest.raises(ValueError):
-            born_prob(np.array([1.0, 1.0]), KET_X)
-        with pytest.raises(ValueError):
-            born_prob(KET_X, np.array([0.5, 0.0]))
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / SQRT2
+        assert np.max(np.abs(hadamard @ KET_X - KET_U)) < 1e-12
+        assert np.max(np.abs(hadamard @ KET_Y - KET_V)) < 1e-12
 
 
 class TestBreidbart:
@@ -73,10 +57,10 @@ class TestBreidbart:
         for theta in rng.uniform(0.0, math.pi, 100):
             bb = breidbart_basis(theta)
             oracle = 0.25 * (
-                born_prob(KET_X, bb.ket0)
-                + born_prob(KET_V, bb.ket0)
-                + born_prob(KET_Y, bb.ket1)
-                + born_prob(KET_U, bb.ket1)
+                overlap_sq(KET_X, bb.ket0)
+                + overlap_sq(KET_V, bb.ket0)
+                + overlap_sq(KET_Y, bb.ket1)
+                + overlap_sq(KET_U, bb.ket1)
             )
             assert abs(breidbart_guess_prob(theta) - oracle) < 1e-12
 
@@ -92,36 +76,14 @@ class TestBreidbart:
         assert abs(float(bb.ket0 @ bb.ket0) - 1.0) < 1e-12
         assert abs(float(bb.ket1 @ bb.ket1) - 1.0) < 1e-12
 
-
-class TestMeasure:
-    def test_eigenstate_is_deterministic(self):
-        rng = np.random.default_rng(0)
-        assert all(measure(KET_X, (KET_X, KET_Y), rng) == 0 for _ in range(50))
-
-    def test_conjugate_state_is_balanced(self):
-        rng = np.random.default_rng(1)
-        n = 1_000_000
-        zeros = sum(measure(KET_U, (KET_X, KET_Y), rng) == 0 for _ in range(n))
-        sigma = math.sqrt(0.25 / n)
-        assert abs(zeros / n - 0.5) < 3 * sigma
-
-    def test_breidbart_frequency(self):
-        rng = np.random.default_rng(2)
-        bb = breidbart_basis(BREIDBART_ANGLE)
-        n = 1_000_000
-        p_expected = math.cos(math.pi / 8) ** 2  # 0.8535533905932737
-        zeros = sum(measure(KET_X, (bb.ket0, bb.ket1), rng) == 0 for _ in range(n))
-        sigma = math.sqrt(p_expected * (1 - p_expected) / n)
-        assert abs(zeros / n - p_expected) < 3 * sigma
-
-    def test_rejects_non_orthonormal_basis(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ValueError):
-            measure(KET_X, (KET_X, KET_U), rng)
-
-    def test_consumes_exactly_one_uniform(self):
-        rng_used = np.random.default_rng(5)
-        rng_ref = np.random.default_rng(5)
-        measure(KET_U, (KET_X, KET_Y), rng_used)
-        rng_ref.random()
-        assert rng_used.random() == rng_ref.random()
+    def test_outcome_tables(self):
+        # Every signal gives its own bit's outcome with probability cos^2(pi/8).
+        right = math.cos(math.pi / 8) ** 2
+        for basis in (0, 1):
+            assert BREIDBART_M0[basis, 0] == pytest.approx(right, abs=1e-15)
+            assert BREIDBART_M0[basis, 1] == pytest.approx(1.0 - right, abs=1e-15)
+        # A resent Breidbart state reads as its own bit in either basis.
+        for basis in (0, 1):
+            assert BREIDBART_RESEND_BIT1[basis, 1] == pytest.approx(right, abs=1e-15)
+            assert BREIDBART_RESEND_BIT1[basis, 0] == pytest.approx(1.0 - right, abs=1e-15)
+        assert not BREIDBART_M0.flags.writeable
