@@ -26,7 +26,13 @@ from .engine import (
     analytic_expectations,
     run_sharded,
 )
-from .pulse_attacks import ATTACKS, AttackStrategy, full_break_transmission
+from .pulse_attacks import (
+    ATTACKS,
+    AttackStrategy,
+    Pns,
+    full_break_transmission,
+    kappa_for_channel,
+)
 from .pulse_optics import (
     OpticalConfig,
     bob_count_pmf_after_splitter,
@@ -247,11 +253,24 @@ _SIM_DEFAULTS = {
 
 
 def _build_attack(kind: str, params: dict) -> AttackStrategy | None:
-    """Build the attack and record its resolved parameters (a derived kappa) in ``params``."""
+    """Build the attack and record its resolved parameters (a derived kappa) in ``params``.
+
+    A PNS blocking fraction matched to the line is capped at 1; when the cap
+    bites (the total-break region, eta below eta*), one line on stderr says so.
+    """
     if kind == "none":
         return None
     cls = _CLI_ATTACKS[kind]
-    attack = cls.from_params(params, float(params["mu"]), float(params["eta"]))
+    mu, eta = float(params["mu"]), float(params["eta"])
+    attack = cls.from_params(params, mu, eta)
+    if cls is Pns and params.get("kappa") is None:
+        calibrated = kappa_for_channel(mu, eta).kappa
+        if calibrated > attack.kappa:
+            print(
+                f"simulate: calibrated kappa {calibrated:.6g} clamped to 1: eta={eta:g} is "
+                f"below eta*={full_break_transmission(mu):.6g}, a total break",
+                file=sys.stderr,
+            )
     params.update(dataclasses.asdict(attack))
     return attack
 

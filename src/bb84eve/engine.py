@@ -14,24 +14,67 @@ no-attack and source-side single-photon strategies.
 
 Intercept-resend forwards a single freshly prepared photon in the measured
 Breidbart state; resent pulses therefore never produce same-basis double
-clicks, and the engine checks that no modified pulse carries more than one
+clicks, and the engine checks that no resent pulse carries more than one
 photon.  Probe attacks leave photon counts untouched and flip the sifted
 outcome with the attack's disturbance.
+
+Photon counts follow from Poisson splitting: when each photon of a
+Poisson(m) pulse goes one way with probability p and the other way
+otherwise, independently, the two shares are independent Poissons of means
+``m p`` and ``m (1-p)``.  So no pulse is thinned or split photon by photon;
+only the counts some tally reads are drawn, each by inverse CDF from one
+uniform:
+
+- no attack and the probe attack: the receiver's count, Poisson(mu eta).
+  The probe flips only pulses that left the source with a photon, which
+  every sifted pulse did;
+- beam-splitter attacks: the receiver's arm, Poisson(mu t), and the tap,
+  Poisson(mu (1-t)), independent of each other;
+- intercept-resend: the line's share, Poisson(mu eta), and the lost share,
+  Poisson(mu (1-eta)).  Their sum is the source count, which decides whether
+  there is a pulse to intercept; a resent photon arrives with probability
+  eta;
+- photon-number splitting: the source count, Poisson(mu); a multi-photon
+  pulse delivers all but the photon taken.
+
+Outcomes are drawn only where a tally reads them: the eavesdropper's and the
+receiver's readings only for sifted pulses, and the detector routing only
+for wrong-basis pulses of two photons or more.  Outcomes whose probability
+does not depend on the signal (probe flips and guesses, coin-flip guesses)
+are drawn as binomial counts over the sifted pulses that share them; the
+Breidbart measurements, resent states and tap readouts are drawn per pulse.
 
 Randomness contract: all draws come from counter-based Philox streams.  The
 stream for shard ``i`` of a session with seed ``s`` is
 ``Philox(SeedSequence(entropy=s, spawn_key=(i,)))``; an unsharded run uses
-shard 0.  Results are reproducible bit for bit for a fixed
-(seed, n_pulses, n_shards) regardless of how shards are executed.
+shard 0.  A shard runs in batches of at most ``_BATCH`` pulses, and a batch
+draws, in this order:
+
+1. one byte per pulse from ``Generator.bytes``: bit 0 is the sender's bit,
+   bit 1 her basis and bit 2 the receiver's basis;
+2. one uniform per pulse for each photon count above, in the order listed;
+3. the attack's choices, one uniform per candidate pulse: the non-empty
+   pulses intercept-resend takes, the whole pulses the beam-splitter hybrid
+   resends, the single-photon pulses PNS blocks; then whether each resent
+   photon arrives;
+4. the sifted outcomes: tap readouts, Breidbart measurements followed by
+   the receiver's readings of the resent states, probe flips followed by
+   probe guesses, and coin-flip guesses;
+5. the routing of the wrong-basis pulses, in increasing photon count.
+
+Results are reproducible bit for bit for a fixed (seed, n_pulses, n_shards)
+regardless of how shards are executed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domain import check_range
 from .pulse_attacks import (
     SCENARIO_A_RULES,
     AttackStrategy,
@@ -42,7 +85,7 @@ from .pulse_attacks import (
     Pns,
     line_expectations,
 )
-from .pulse_optics import OpticalConfig
+from .pulse_optics import MAX_MEAN_PHOTON_NUMBER, OpticalConfig
 from .single_photon import opt_guess_prob
 from .states import BREIDBART_M0, BREIDBART_RESEND_BIT1
 
@@ -208,13 +251,145 @@ class _Tally:
         )
 
 
-def _classify_split(k_bob: np.ndarray, k_eve: np.ndarray) -> dict[str, np.ndarray]:
-    return {
-        "both": (k_bob >= 1) & (k_eve >= 1),
-        "eve_only": (k_bob == 0) & (k_eve >= 1),
-        "bob_only": (k_bob >= 1) & (k_eve == 0),
-        "empty": (k_bob == 0) & (k_eve == 0),
-    }
+#: Every uniform is compared directly with the head of a Poisson table: its
+#: entries up to the first past which less than ``_TAIL_MASS`` of the mass
+#: remains, at most ``_MAX_HEAD`` of them.  The rest go to a binary search.
+_TAIL_MASS = 1.0 / 64
+_MAX_HEAD = 6
+#: Terms summed to build a table; for means up to 20 the mass past them is
+#: below 1e-50.
+_TABLE_TERMS = 128
+
+#: Bits of a splitter route code: photons on the receiver's arm, photons on
+#: the tap; a route code adds 4 when the receiver is in the wrong basis.
+_ROUTE_BOB, _ROUTE_EVE = 1, 2
+_ROUTE_BOTH = _ROUTE_BOB | _ROUTE_EVE
+
+
+@functools.lru_cache(maxsize=32)
+def _poisson_table(mean: float) -> tuple[np.ndarray, int]:
+    """Cumulative Poisson(``mean``) table and the length of its head.
+
+    Entry ``n`` is P(N <= n).  Entries below 1/2 are forward sums of the
+    probabilities and the rest are one minus the tail summed from the far
+    end, so each is accurate to about an ulp.  The table ends at its first
+    entry that is 1.0 in float64, which no uniform in [0, 1) reaches; for
+    ``mean <= 20`` that is before entry 70, so a count fits in 7 bits.  The
+    head holds the entries up to the first past which less than
+    ``_TAIL_MASS`` of the mass remains.
+    """
+    check_range("mean", mean, 0.0, MAX_MEAN_PHOTON_NUMBER)
+    ratios = np.full(_TABLE_TERMS, float(mean))
+    ratios[0] = 1.0
+    ratios[1:] /= np.arange(1, _TABLE_TERMS)
+    pmf = math.exp(-mean) * np.cumprod(ratios)
+    below = np.cumsum(pmf)
+    above = 1.0 - np.append(np.cumsum(pmf[::-1])[-2::-1], 0.0)
+    cdf = np.maximum.accumulate(np.where(below < 0.5, below, above))
+    cdf = cdf[: int(np.argmax(cdf == 1.0)) + 1].copy()
+    head = min(_MAX_HEAD, cdf.size, 1 + int(np.count_nonzero(cdf < 1.0 - _TAIL_MASS)))
+    cdf.setflags(write=False)
+    return cdf, head
+
+
+def _poisson_counts(u: np.ndarray, mean: float) -> np.ndarray:
+    """Poisson(``mean``) counts by inverse CDF: the number of table entries ``<= u``.
+
+    Each uniform is compared with the head of the table; only the few past
+    the head are placed by binary search.  Returns a writable uint8 array.
+    """
+    cdf, head = _poisson_table(mean)
+    counts = (u >= cdf[0]).view(np.uint8)
+    for edge in cdf[1:head]:
+        counts += u >= edge
+    rest = np.flatnonzero(u >= cdf[head - 1])
+    counts[rest] = np.searchsorted(cdf, u[rest], side="right")
+    return counts
+
+
+def _by_count(k: np.ndarray, wrong: np.ndarray) -> np.ndarray:
+    """Pulses by receiver photon count: row 0 in the sender's basis, row 1 not.
+
+    ``wrong`` is 128 for a wrong-basis pulse and 0 otherwise; every count is
+    below 128 (see :func:`_poisson_table`).
+    """
+    return np.bincount(k | wrong, minlength=256).reshape(2, 128)
+
+
+def _sifted(by_count: np.ndarray) -> int:
+    return int(by_count[0, 1:].sum())
+
+
+def _coins(rng: np.random.Generator, n: int) -> int:
+    """Right guesses among ``n`` coin flips."""
+    return int(rng.binomial(n, 0.5))
+
+
+def _resend(
+    rng: np.random.Generator, k: np.ndarray, attacked: np.ndarray, survival: float
+) -> np.ndarray:
+    """Replace the attacked pulses by one fresh photon that arrives with ``survival``.
+
+    Writes their receiver counts into ``k`` and returns the attacked pulses
+    that arrive.
+    """
+    arrived = rng.binomial(1, survival, attacked.size)
+    # A resent pulse carries one fresh photon at most; this keeps same-basis
+    # double clicks structurally impossible.
+    if int(arrived.max(initial=0)) > 1:
+        raise RuntimeError("a resent pulse carries more than one photon")
+    k[attacked] = arrived
+    return attacked[arrived != 0]
+
+
+def _breidbart_resend(rng: np.random.Generator, signal: np.ndarray) -> tuple[int, int]:
+    """Breidbart measurement and resend of sifted pulses with these signals.
+
+    Returns the eavesdropper's right guesses and the receiver's errors.  The
+    pulses are sifted, so the receiver measures in the sender's basis.
+    """
+    basis, bit = (signal >> 1) & 1, signal & 1
+    outcome = (rng.random(signal.size) >= BREIDBART_M0[basis, bit]).view(np.uint8)
+    read = rng.random(signal.size) < BREIDBART_RESEND_BIT1[basis, outcome]
+    return int(np.count_nonzero(outcome == bit)), int(np.count_nonzero(read != bit))
+
+
+def _tap_readout(
+    rng: np.random.Generator, signal: np.ndarray, k_eve: np.ndarray, majority: bool
+) -> int:
+    """Right guesses from the tap on sifted pulses with these signals.
+
+    One Breidbart result per pulse, or a Breidbart result per tapped photon
+    and a majority vote with coin-flip ties.
+    """
+    basis, bit = (signal >> 1) & 1, signal & 1
+    p_m0 = BREIDBART_M0[basis, bit]
+    if not majority:
+        return int(np.count_nonzero((rng.random(signal.size) >= p_m0) == bit))
+    k_eve = k_eve.astype(np.int64)
+    det0 = rng.binomial(k_eve, p_m0)
+    margin = np.where(bit == 1, k_eve - 2 * det0, 2 * det0 - k_eve)
+    return int(np.count_nonzero(margin > 0)) + _coins(rng, int(np.count_nonzero(margin == 0)))
+
+
+def _coincidences(rng: np.random.Generator, wrong_by_count: np.ndarray) -> int:
+    """Wrong-basis pulses that fire both detectors, each photon routed 50/50.
+
+    ``wrong_by_count[k]`` wrong-basis pulses carry ``k`` photons.  Only those
+    with ``k >= 2`` can fire both, and each of them draws its routing
+    binomial(k, 1/2), in order of ``k``.
+    """
+    total = 0
+    for k in np.flatnonzero(wrong_by_count[2:]) + 2:
+        routed = rng.binomial(k, 0.5, wrong_by_count[k])
+        total += int(np.count_nonzero((routed != 0) & (routed != k)))
+    return total
+
+
+def _scenarios(routes: np.ndarray) -> dict[str, int]:
+    by_route = np.bincount(routes, minlength=8)
+    c = by_route[:4] + by_route[4:]
+    return {"both": int(c[3]), "eve_only": int(c[2]), "bob_only": int(c[1]), "empty": int(c[0])}
 
 
 def _simulate_batch(
@@ -223,115 +398,85 @@ def _simulate_batch(
     mu = config.optics.mu
     eta = config.optics.eta
     attack = config.attack
+    tally = _Tally(n_pulses=size)
 
-    bits = rng.integers(0, 2, size, dtype=np.int8)
-    bases = rng.integers(0, 2, size, dtype=np.int8)
-    photons = rng.poisson(mu, size)
+    signal = np.frombuffer(rng.bytes(size), dtype=np.uint8)
+    # 128 where the receiver's basis (bit 2) is not the sender's (bit 1).
+    wrong = ((signal << 6) ^ (signal << 5)) & 128
 
-    eve_guess: np.ndarray | None = None
-    scenario_masks: dict[str, np.ndarray] | None = None
-    resent = np.zeros(size, dtype=bool)
-
-    if attack is None:
-        bob_photons = rng.binomial(photons, eta)
-        bob_bit = bits
+    if attack is None or isinstance(attack, OptimalIncoherent):
+        k = _poisson_counts(rng.random(size), mu * eta)
+        by_count = _by_count(k, wrong)
+        if attack is not None:
+            sifted = _sifted(by_count)
+            tally.errors = int(rng.binomial(sifted, attack.d))
+            tally.eve_correct = int(rng.binomial(sifted, opt_guess_prob(attack.d)))
 
     elif isinstance(attack, InterceptResend):
-        attacked = (photons >= 1) & (rng.random(size) < attack.eps)
-        outcome = (rng.random(size) >= BREIDBART_M0[bases, bits]).astype(np.int8)
-        resent_survives = rng.binomial(1, eta, size)
-        bob_photons = np.where(attacked, resent_survives, rng.binomial(photons, eta))
-        p_bit1 = np.where(attacked, BREIDBART_RESEND_BIT1[bases, outcome], bits)
-        bob_bit = (rng.random(size) < p_bit1).astype(np.int8)
-        eve_guess = np.where(attacked, outcome, rng.integers(0, 2, size, dtype=np.int8))
-        resent = attacked
+        k = _poisson_counts(rng.random(size), mu * eta)
+        lost = _poisson_counts(rng.random(size), mu * (1.0 - eta))
+        attacked = np.flatnonzero(((k | lost) != 0) & (rng.random(size) < attack.eps))
+        resent = _resend(rng, k, attacked, eta)
+        by_count = _by_count(k, wrong)
+        sifted_resent = resent[wrong[resent] == 0]
+        right, tally.errors = _breidbart_resend(rng, signal[sifted_resent])
+        tally.eve_correct = right + _coins(rng, _sifted(by_count) - sifted_resent.size)
 
-    elif isinstance(attack, OptimalIncoherent):
-        bob_photons = rng.binomial(photons, eta)
-        flip = rng.random(size) < attack.d
-        bob_bit = bits ^ (flip & (photons >= 1))
-        success = rng.random(size) < opt_guess_prob(attack.d)
-        eve_guess = np.where(success, bits, 1 - bits)
-
-    elif isinstance(attack, BsInterceptResend):
-        k_bob = rng.binomial(photons, attack.t)
-        k_eve = photons - k_bob
-        scenario_masks = _classify_split(k_bob, k_eve)
-        if config.scenario_a_rule == "single_result":
-            tap_guess = (rng.random(size) >= BREIDBART_M0[bases, bits]).astype(np.int8)
+    elif isinstance(attack, (BsInterceptResend, BsOptimal)):
+        k = _poisson_counts(rng.random(size), mu * attack.t)
+        k_eve = _poisson_counts(rng.random(size), mu * (1.0 - attack.t))
+        routes = (
+            (k != 0).view(np.uint8)
+            | ((k_eve != 0).view(np.uint8) << 1)
+            | (wrong >> 5)
+        )
+        tally.scenario = _scenarios(routes)
+        tapped = routes == _ROUTE_BOTH  # both arms lit, sender's basis
+        if isinstance(attack, BsOptimal):
+            by_count = _by_count(k, wrong)
+            n_tapped = int(np.count_nonzero(tapped))
+            probed = _sifted(by_count) - n_tapped
+            tally.errors = int(rng.binomial(probed, attack.d))
+            tally.eve_correct = n_tapped + int(rng.binomial(probed, opt_guess_prob(attack.d)))
         else:
-            det0 = rng.binomial(k_eve, BREIDBART_M0[bases, bits])
-            det1 = k_eve - det0
-            tie = rng.integers(0, 2, size, dtype=np.int8)
-            tap_guess = np.where(det0 > det1, 0, np.where(det1 > det0, 1, tie)).astype(np.int8)
-        attacked_c = scenario_masks["bob_only"] & (rng.random(size) < 4.0 * attack.d)
-        outcome = (rng.random(size) >= BREIDBART_M0[bases, bits]).astype(np.int8)
-        bob_photons = np.where(attacked_c, 1, k_bob)
-        p_bit1 = np.where(attacked_c, BREIDBART_RESEND_BIT1[bases, outcome], bits)
-        bob_bit = (rng.random(size) < p_bit1).astype(np.int8)
-        coin = rng.integers(0, 2, size, dtype=np.int8)
-        eve_guess = np.where(
-            scenario_masks["both"], tap_guess, np.where(attacked_c, outcome, coin)
-        )
-        resent = attacked_c
-
-    elif isinstance(attack, BsOptimal):
-        k_bob = rng.binomial(photons, attack.t)
-        k_eve = photons - k_bob
-        scenario_masks = _classify_split(k_bob, k_eve)
-        bob_photons = k_bob
-        flip = (rng.random(size) < attack.d) & scenario_masks["bob_only"]
-        bob_bit = bits ^ flip
-        success = rng.random(size) < opt_guess_prob(attack.d)
-        probed_guess = np.where(success, bits, 1 - bits)
-        coin = rng.integers(0, 2, size, dtype=np.int8)
-        eve_guess = np.where(
-            scenario_masks["both"],
-            bits,
-            np.where(scenario_masks["bob_only"], probed_guess, coin),
-        )
+            whole = np.flatnonzero((routes & _ROUTE_BOTH) == _ROUTE_BOB)
+            attacked = whole[rng.random(whole.size) < 4.0 * attack.d]
+            resent = _resend(rng, k, attacked, 1.0)  # the tapped line is lossless
+            by_count = _by_count(k, wrong)
+            tapped_pulses = np.flatnonzero(tapped)
+            right = _tap_readout(
+                rng,
+                signal[tapped_pulses],
+                k_eve[tapped_pulses],
+                config.scenario_a_rule == "majority",
+            )
+            sifted_resent = resent[wrong[resent] == 0]
+            right_resent, tally.errors = _breidbart_resend(rng, signal[sifted_resent])
+            untouched = _sifted(by_count) - tapped_pulses.size - sifted_resent.size
+            tally.eve_correct = right + right_resent + _coins(rng, untouched)
 
     elif isinstance(attack, Pns):
-        multi = photons >= 2
-        single = photons == 1
-        kept_single = single & ~(rng.random(size) < attack.kappa)
-        bob_photons = np.where(multi, photons - 1, kept_single.astype(np.int64))
-        flip = (rng.random(size) < attack.d) & kept_single
-        bob_bit = bits ^ flip
-        success = rng.random(size) < opt_guess_prob(attack.d)
-        probed_guess = np.where(success, bits, 1 - bits)
-        coin = rng.integers(0, 2, size, dtype=np.int8)
-        eve_guess = np.where(multi, bits, np.where(kept_single, probed_guess, coin))
+        n = _poisson_counts(rng.random(size), mu)
+        k = n - (n != 0).view(np.uint8)  # one photon taken; kept singles get theirs back
+        singles = np.flatnonzero(n == 1)
+        kept = singles[rng.random(singles.size) >= attack.kappa]
+        k[kept] = 1
+        by_count = _by_count(k, wrong)
+        probed = int(np.count_nonzero(wrong[kept] == 0))
+        tally.errors = int(rng.binomial(probed, attack.d))
+        tally.eve_correct = (
+            _sifted(by_count) - probed + int(rng.binomial(probed, opt_guess_prob(attack.d)))
+        )
 
     else:
         raise TypeError(f"unsupported attack {attack!r}")
 
-    # A resent pulse carries one fresh photon at most; this keeps same-basis
-    # double clicks structurally impossible.
-    if int(bob_photons[resent].max(initial=0)) > 1:
-        raise RuntimeError("a resent pulse carries more than one photon")
-
-    bob_basis = rng.integers(0, 2, size, dtype=np.int8)
-    detected = bob_photons >= 1
-    same_basis = bob_basis == bases
-    sifted = same_basis & detected
-    routed = rng.binomial(bob_photons, 0.5)
-    coincident = (~same_basis) & (routed >= 1) & (routed <= bob_photons - 1)
-
-    tally = _Tally(n_pulses=size)
-    tally.sifted = int(np.count_nonzero(sifted))
-    tally.errors = int(np.count_nonzero(sifted & (bob_bit != bits)))
-    if eve_guess is not None:
-        tally.eve_correct = int(np.count_nonzero(sifted & (eve_guess == bits)))
-    tally.nonempty = int(np.count_nonzero(detected))
-    tally.coincidences = int(np.count_nonzero(coincident))
-    if scenario_masks is not None:
-        tally.scenario = {
-            key: int(np.count_nonzero(mask)) for key, mask in scenario_masks.items()
-        }
-    tally.hist = np.bincount(
-        np.minimum(bob_photons, _HIST_MAX), minlength=_HIST_MAX + 1
-    ).astype(np.int64)
+    counts = by_count.sum(axis=0)
+    tally.hist[:_HIST_MAX] = counts[:_HIST_MAX]
+    tally.hist[_HIST_MAX] = counts[_HIST_MAX:].sum()
+    tally.sifted = _sifted(by_count)
+    tally.nonempty = size - int(counts[0])
+    tally.coincidences = _coincidences(rng, by_count[1])
     return tally
 
 

@@ -29,7 +29,13 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .domain import check_range
-from .pulse_optics import SERIES_CUTOFF, coincidence_prob, poisson_pmf, scenario_probs
+from .pulse_optics import (
+    MAX_MEAN_PHOTON_NUMBER,
+    SERIES_CUTOFF,
+    coincidence_prob,
+    poisson_pmf,
+    scenario_probs,
+)
 from .single_photon import IR_MAX_GUESS_PROB, SQRT2, opt_guess_prob
 
 #: How a tapped multi-photon pulse is read in the intercept-resend hybrid:
@@ -230,7 +236,7 @@ class BsInterceptResend(_SplitterAttack):
         return ThresholdResult((2.0 - SQRT2 * (1.0 - dilution)) / (4.0 * (1.0 + SQRT2)))
 
     def predict(self, mu: float) -> AttackPrediction:
-        check_range("mu", mu, 0.0)
+        check_range("mu", mu, 0.0, MAX_MEAN_PHOTON_NUMBER)
         d_ab = self.d * math.exp(-mu * (1.0 - self.t))
         return AttackPrediction(guess_prob=self.guess_at(d_ab, mu, self.t), d_ab=d_ab)
 
@@ -285,7 +291,7 @@ class BsOptimal(_SplitterAttack):
         return ThresholdResult((2.0 - SQRT2) / 4.0 * math.exp(-mu * (1.0 - eta)))
 
     def predict(self, mu: float) -> AttackPrediction:
-        check_range("mu", mu, 0.0)
+        check_range("mu", mu, 0.0, MAX_MEAN_PHOTON_NUMBER)
         dilution = math.exp(-mu * (1.0 - self.t))
         return AttackPrediction(guess_prob=self._guess(dilution, self.d), d_ab=self.d * dilution)
 
@@ -340,7 +346,7 @@ class Pns(Attack):
 
     def predict(self, mu: float) -> AttackPrediction:
         """Multi-photon pulses yield the bit without errors; kept singles are probed."""
-        check_range("mu", mu, 0.0, open_lo=True)
+        check_range("mu", mu, 0.0, MAX_MEAN_PHOTON_NUMBER, open_lo=True)
         p_multi, p_single_kept, denom = self._shares(mu, self.kappa)
         guess = (p_multi + p_single_kept * opt_guess_prob(self.d)) / denom
         return AttackPrediction(guess_prob=guess, d_ab=p_single_kept * self.d / denom)
@@ -416,12 +422,9 @@ class KappaCalibration:
 
 def kappa_for_channel(mu: float, eta: float) -> KappaCalibration:
     """Blocking fraction ``(e^(mu(1-eta)) - 1)/mu`` that mimics a loss-``eta`` line."""
-    check_range("mu", mu, 0.0, open_lo=True)
+    check_range("mu", mu, 0.0, MAX_MEAN_PHOTON_NUMBER, open_lo=True)
     check_range("eta", eta, 0.0, 1.0)
-    try:
-        kappa = math.expm1(mu * (1.0 - eta)) / mu
-    except OverflowError:  # e^(mu(1-eta)) past the float range: far past a total break
-        kappa = math.inf
+    kappa = math.expm1(mu * (1.0 - eta)) / mu
     return KappaCalibration(kappa=kappa, break_possible=kappa >= 1.0)
 
 
@@ -431,5 +434,5 @@ def full_break_transmission(mu: float) -> float:
     At or below this value the calibrated blocking fraction reaches one and
     photon-number splitting yields the entire key with zero induced errors.
     """
-    check_range("mu", mu, 0.0, open_lo=True)
+    check_range("mu", mu, 0.0, MAX_MEAN_PHOTON_NUMBER, open_lo=True)
     return 1.0 - math.log1p(mu) / mu

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .domain import check_range
 from .pulse_attacks import ATTACKS, Attack, ThresholdResult
+from .pulse_optics import MAX_MEAN_PHOTON_NUMBER
 
 THRESHOLD_KINDS = tuple(ATTACKS)
 
@@ -124,7 +125,7 @@ def _attack(kind: str, mu: float | None, eta: float | None) -> type[Attack]:
     if attack.uses_channel:
         if mu is None or eta is None:
             raise ValueError(f"kind {kind!r} requires mu and eta")
-        check_range("mu", mu, 0.0, open_lo=True)
+        check_range("mu", mu, 0.0, MAX_MEAN_PHOTON_NUMBER, open_lo=True)
         check_range("eta", eta, 0.0, 1.0)
     return attack
 

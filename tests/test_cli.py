@@ -65,6 +65,14 @@ class TestThresholdsCommand:
             result = run_cli("thresholds", "--mu", mu, "--format", "json", expect=2)
             assert_one_line_error(result, "mu must be finite")
 
+    def test_mean_above_the_cap_is_a_usage_error(self):
+        # The same mu <= 20 domain as simulate, in every command.
+        for args in (("thresholds", "--mu", "50"), ("sweep", "--strategy", "pns", "--mu", "50"),
+                     ("simulate", "--mu", "50")):
+            result = run_cli(*args, expect=2)
+            assert_one_line_error(result, "mu must be finite and in")
+            assert "20]" in result.stderr.decode()
+
     def test_manifest_on_stderr(self):
         result = run_cli("thresholds", "--mu", "1", "--eta", "0.9")
         manifest = json.loads(result.stderr.decode().strip().splitlines()[-1])
@@ -172,6 +180,21 @@ class TestSimulateCommand:
             ).stdout
         )
         assert doc["params"]["kappa"] == pytest.approx(math.expm1(0.1), abs=1e-12)
+
+    def test_clamped_pns_kappa_is_flagged_on_stderr_only(self):
+        def pns(eta: str, *extra: str) -> subprocess.CompletedProcess:
+            return run_cli(
+                "simulate", "--attack", "pns", "--mu", "1", "--eta", eta,
+                "--pulses", "1000", "--seed", "1", "--format", "json", *extra,
+            )
+
+        derived, explicit = pns("0.2"), pns("0.2", "--kappa", "1")
+        assert derived.stdout == explicit.stdout
+        note, manifest = derived.stderr.decode().strip().splitlines()
+        assert "kappa 1.22554 clamped to 1" in note and "below eta*=0.306853" in note
+        assert json.loads(manifest)["params"]["kappa"] == 1.0
+        for quiet in (explicit, pns("0.9")):
+            assert len(quiet.stderr.decode().strip().splitlines()) == 1
 
     def test_manifest_params_be_reusable_as_config(self, tmp_path):
         args = (

@@ -20,11 +20,11 @@ from bb84eve.pulse_attacks import (
     Pns,
     kappa_for_channel,
 )
-from bb84eve.engine import _simulate_batch
-from bb84eve.pulse_optics import OpticalConfig, coincidence_prob, poisson_pmf
+from bb84eve.engine import _poisson_counts, _poisson_table, _simulate_batch
+from bb84eve.pulse_optics import SERIES_CUTOFF, OpticalConfig, coincidence_prob, poisson_pmf
 from bb84eve.single_photon import IR_MAX_GUESS_PROB
 
-N_MAX = 60
+N_MAX = SERIES_CUTOFF
 
 
 def split_terms(mu: float, t: float):
@@ -84,6 +84,45 @@ def assert_within_3_sigma(value, expected, stderr):
     assert abs(value - expected) < 3 * stderr, (
         f"{value} vs {expected}: {abs(value - expected) / stderr:.2f} sigma"
     )
+
+
+#: Uniforms near 0, interior and near 1 - 2^-53, the largest double below 1.
+FIXED_UNIFORMS = np.concatenate([
+    [5e-324, 1e-300, 2.0**-53, 1e-12, 0.25, 0.5, 0.75, 1 - 1e-12, 1 - 2.0**-52, 1 - 2.0**-53],
+    np.random.default_rng(7).random(20_000),
+])
+
+
+class TestPoissonSampler:
+    @pytest.mark.parametrize("mean", [1e-3, 0.1, 0.9, 1.0, 5.0, 20.0])
+    def test_inverse_cdf_matches_scipy_ppf(self, mean):
+        cdf, _ = _poisson_table(mean)
+        # A uniform equal to a table entry sits on the boundary of two counts,
+        # where rounding of the two tables may differ by an ulp.
+        u = FIXED_UNIFORMS[~np.isin(FIXED_UNIFORMS, cdf)]
+        assert u.size >= FIXED_UNIFORMS.size - 1
+        counts = _poisson_counts(u, mean)
+        assert np.array_equal(counts, scistats.poisson.ppf(u, mean).astype(np.int64))
+
+    @pytest.mark.parametrize("mean", [0.0, 1e-3, 1.0, 20.0])
+    def test_table_runs_to_one_and_is_read_only(self, mean):
+        cdf, head = _poisson_table(mean)
+        assert cdf[-1] == 1.0 and (cdf.size == 1 or cdf[-2] < 1.0)
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert 1 <= head <= cdf.size and cdf.size < 128
+        assert not cdf.flags.writeable
+
+    def test_top_of_domain_histogram_is_poissonian(self):
+        cfg = make_config(None, mu=20.0, eta=1.0, n_pulses=400_000, seed=11)
+        hist = np.array(run_session(cfg).bob_count_hist, dtype=float)
+        expected = scistats.poisson.pmf(np.arange(hist.size), 20.0)
+        expected[-1] = scistats.poisson.sf(hist.size - 2, 20.0)
+        expected *= cfg.n_pulses
+        # Pool the sparse bins at both ends so every cell expects at least 5.
+        lo, hi = np.flatnonzero(expected >= 5)[[0, -1]]
+        observed = np.r_[hist[: lo + 1].sum(), hist[lo + 1 : hi], hist[hi:].sum()]
+        pooled = np.r_[expected[: lo + 1].sum(), expected[lo + 1 : hi], expected[hi:].sum()]
+        assert scistats.chisquare(observed, pooled).pvalue > 0.001
 
 
 class TestQuietLine:
@@ -257,7 +296,7 @@ class TestCompleteExpectations:
             ) < 1e-12
 
     def test_pns_coincidence_matches_series(self):
-        for mu in (0.05, 0.5, 1.0, 3.0, 10.0):
+        for mu in (0.05, 0.5, 1.0, 3.0, 10.0, 20.0):
             cfg = make_config(Pns(kappa=0.1, d=0.05), mu=mu)
             assert abs(
                 analytic_expectations(cfg)["coincidence_rate"] - series_pns_coincidence(mu)

@@ -32,20 +32,20 @@ VARIANTS = {
 }
 
 SESSION_DIGESTS = {
-    ("none", 1): "8dba8f92fdbe1e0f8d6b7a1184da6b98c0bb38fc5de5f8add9afb42471621263",
-    ("none", 8): "fffee9f4e52b0cc716890951322dbe33f44ea7638eb8d697ed7306848fb42ddb",
-    ("ir", 1): "a4348ff347f8194d37197846852d58fd1051c06227c4fbe0e80ade7c7f0c7719",
-    ("ir", 8): "698c716a36752506a336ba2370d3908bb4a10cc78762007c593163e48241c468",
-    ("opt", 1): "4f4435bd9f1b20ebfed390e12722d3cd661a7cb009ec15892a0cb236a84e31db",
-    ("opt", 8): "e9b7221ed7692c979697c223a8c7784de51b07545fe821f9f9d34398772dee72",
-    ("bs-ir", 1): "a5547abf813ba96256c8369c3380902d78c231031602f83c7d8c6203df69df7e",
-    ("bs-ir", 8): "8e49e451f15c7a9456414cc909807a37cfc225546a5a03bec4f9ebc1de021c36",
-    ("bs-ir-majority", 1): "1cdbd4b7e9191bdb94fd54ac8f82f293a7f0d73b4978ef57ec350e0abca5517f",
-    ("bs-ir-majority", 8): "10221a49398c12169f187d042f65076ef3d84e87cd7e672192af7f31cb84b49b",
-    ("bs-opt", 1): "8213c0ea12df0ac5c7acc1c1f243974bdea1cf1a9fe6bae807b3ee670985e999",
-    ("bs-opt", 8): "15768126f2edf403e9e4c2bdafbc68a1fa47d18d6dd222ea93356a4eab3337fd",
-    ("pns", 1): "105ccaa292daba2b7fc5e0e24cf9aeb400f0a626c4b7e9a090a9c3b35c512123",
-    ("pns", 8): "f3b98704921c6312b2660b8ba0cf531a922d02f5fdf1aebe6e2ed33c47fac4bf",
+    ("none", 1): "bdcd1c985504ad10c805e2cda837cfbe6e70bbe0d5760db98e0dfc2fe63aca13",
+    ("none", 8): "0513a64e7ebb05031745786fb3e60edc03efdb746ade2c69a4400429e7e400a8",
+    ("ir", 1): "90733e0659a59eea1c9a71c9c2ef01326a6c865e8cbf68f41c1af476e9a950f4",
+    ("ir", 8): "92e73fcc166ff8425c0691fe49e400153fde6f2bd3e35f7e0e2955669caf9f1b",
+    ("opt", 1): "8061f0b8abea52dd082ee17e6d4edee1ca41d85d3e1875c2cae081512f844cb6",
+    ("opt", 8): "f7ed0d0263deaa937cacffaddef15334084ab34d8090c21d9074188335b007df",
+    ("bs-ir", 1): "29e076532e23320fc24bb2a2b9688d7aeb8404e8a4489b50880dfb0aa11fb6f8",
+    ("bs-ir", 8): "41cb540b978c67c17e1be2b3510e24bb0b929b1be96b87126bf28e93be982fa9",
+    ("bs-ir-majority", 1): "a96ae8ca533b4a66c4a7060074982dc6d5bff9c3466bc9ddbbb6221e467cd2e5",
+    ("bs-ir-majority", 8): "69405184c80f95a7196041d50524221393d6ce9fd0bb3a58c036bd668ab7c723",
+    ("bs-opt", 1): "81c63c9aa89193c622108569e3f3ca4f75506153f5d3df64831d4f5d94acc6ba",
+    ("bs-opt", 8): "89d3e2e12e62e48e164b568d300b814b0679022d806c005fe929d3ab447be839",
+    ("pns", 1): "3695cf1aff927f7d05ee5f6a74bed63b1152f0ed93a46dad52e69a476d344c1a",
+    ("pns", 8): "be05e8250b738006f864c0a7f4e7165c923a0e2065dbdb6daa1d775dd672c4b2",
 }
 
 SINGLE_PHOTON_DIGESTS = {

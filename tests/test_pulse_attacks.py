@@ -186,10 +186,18 @@ class TestKappaCalibration:
                     (1.0 - kappa) * p1 + p_multi - (1.0 - math.exp(-eta * mu))
                 ) < 1e-12
 
-    def test_kappa_past_the_float_range_is_a_total_break(self):
-        cal = kappa_for_channel(1000.0, 0.1)
-        assert cal.kappa == math.inf
-        assert cal.break_possible
+    def test_mean_above_the_cap_is_rejected(self):
+        for call in (
+            lambda: kappa_for_channel(1000.0, 0.1),
+            lambda: kappa_for_channel(20.5, 0.9),
+            lambda: full_break_transmission(50.0),
+            lambda: bs_ir_predict(50.0, 0.9, 0.1),
+            lambda: bs_opt_predict(50.0, 0.9, 0.1),
+            lambda: pns_predict(50.0, 0.1, 0.1),
+        ):
+            with pytest.raises(ValueError, match=r"mu must be finite and in .*20\]"):
+                call()
+        assert kappa_for_channel(20.0, 0.0).break_possible
 
     def test_raw_value_and_flag_in_break_region(self):
         cal = kappa_for_channel(1.0, 0.2)

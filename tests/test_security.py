@@ -161,6 +161,16 @@ class TestThresholds:
                 values = [threshold(kind, mu, float(e)).max_d_ab for e in np.linspace(0.4, 1.0, 15)]
                 assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
+    def test_mean_above_the_cap_is_rejected(self):
+        for call in (
+            lambda: threshold("bs_ir", 50.0, 0.9),
+            lambda: eve_accuracy_at("pns", 0.1, 20.5, 0.9),
+            lambda: crossing_point("bs_opt", 21.0, 0.5),
+        ):
+            with pytest.raises(ValueError, match=r"mu must be finite and in .*20\]"):
+                call()
+        assert threshold("pns", 20.0, 0.9).max_d_ab >= 0.0
+
     def test_requires_parameters_for_pulsed_kinds(self):
         with pytest.raises(ValueError):
             threshold("bs_ir")
