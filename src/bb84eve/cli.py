@@ -28,7 +28,7 @@ from .engine import (
 )
 from .pulse_attacks import (
     ATTACKS,
-    AttackStrategy,
+    Attack,
     Pns,
     full_break_transmission,
     kappa_for_channel,
@@ -57,6 +57,9 @@ SWEEP_KINDS = tuple(_CLI_ATTACKS)
 ATTACK_KINDS = ("none", *SWEEP_KINDS)
 
 _VERIFY_TOL = 1e-12
+
+#: Parameters that count something; a config file must give them whole numbers.
+_INTEGER_PARAMS = ("pulses", "seed", "shards", "steps")
 
 
 def _emit_manifest(command: str, params: dict, seed: int | None, path: str | None) -> None:
@@ -95,9 +98,13 @@ def _merge_params(args: argparse.Namespace, names: list[str], defaults: dict) ->
         if flag is not None:
             merged[name] = flag
         elif key in from_file:
-            if not isinstance(from_file[key], (str, int, float, type(None))):
+            value = from_file[key]
+            # bool is an int subclass: {"mu": true} must not run as mu = 1.
+            if isinstance(value, bool) or not isinstance(value, (str, int, float, type(None))):
                 raise ValueError(f"config value {key!r} must be a number or a string")
-            merged[name] = from_file[key]
+            if name in _INTEGER_PARAMS and isinstance(value, float) and not value.is_integer():
+                raise ValueError(f"config value {key!r} must be an integer, got {value!r}")
+            merged[name] = value
         else:
             merged[name] = defaults.get(name)
     return merged
@@ -252,7 +259,7 @@ _SIM_DEFAULTS = {
 }
 
 
-def _build_attack(kind: str, params: dict) -> AttackStrategy | None:
+def _build_attack(kind: str, params: dict) -> Attack | None:
     """Build the attack and record its resolved parameters (a derived kappa) in ``params``.
 
     A PNS blocking fraction matched to the line is capped at 1; when the cap
@@ -323,8 +330,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             scenario_a_rule=str(params["scenario-a-rule"]),
         )
         n_shards = int(params["shards"])
-        if n_shards < 1:
-            raise ValueError(f"shards must be >= 1, got {n_shards}")
+        if not 1 <= n_shards <= config.n_pulses:
+            raise ValueError(f"shards must be in [1, pulses={config.n_pulses}], got {n_shards}")
     except (ValueError, TypeError) as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return 2

@@ -18,12 +18,14 @@ clicks, and the engine checks that no resent pulse carries more than one
 photon.  Probe attacks leave photon counts untouched and flip the sifted
 outcome with the attack's disturbance.
 
-Photon counts follow from Poisson splitting: when each photon of a
-Poisson(m) pulse goes one way with probability p and the other way
-otherwise, independently, the two shares are independent Poissons of means
-``m p`` and ``m (1-p)``.  So no pulse is thinned or split photon by photon;
-only the counts some tally reads are drawn, each by inverse CDF from one
-uniform:
+The source law is read in one place: each photon count is drawn by inverse
+CDF, from one uniform, out of the cumulative table of the share of the pulse
+it counts.  A laser pulse is Poissonian, and Poisson splitting does the
+rest: when each photon of a Poisson(m) pulse goes one way with probability
+p and the other way otherwise, independently, the two shares are
+independent Poissons of means ``m p`` and ``m (1-p)``.  So no pulse is
+thinned or split photon by photon, and only the counts some tally reads are
+drawn:
 
 - no attack and the probe attack: the receiver's count, Poisson(mu eta).
   The probe flips only pulses that left the source with a photon, which
@@ -36,6 +38,12 @@ uniform:
   eta;
 - photon-number splitting: the source count, Poisson(mu); a multi-photon
   pulse delivers all but the photon taken.
+
+A one-photon source on a lossless line has the table ``[0, 1]`` for the
+whole pulse and ``[1]`` for none of it.  On it the ``ir`` and ``opt``
+kernels are the single-photon attacks: :func:`simulate_ir_attack` and
+:func:`simulate_opt_attack` run them, drawing in the order below from the
+``Generator`` their caller passes.
 
 Outcomes are drawn only where a tally reads them: the eavesdropper's and the
 receiver's readings only for sifted pulses, and the detector routing only
@@ -70,6 +78,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +86,7 @@ import numpy as np
 from .domain import check_range
 from .pulse_attacks import (
     SCENARIO_A_RULES,
-    AttackStrategy,
+    Attack,
     BsInterceptResend,
     BsOptimal,
     InterceptResend,
@@ -98,7 +107,7 @@ class SessionConfig:
     """Everything needed to reproduce one session."""
 
     optics: OpticalConfig
-    attack: AttackStrategy | None
+    attack: Attack | None
     n_pulses: int
     seed: int
     scenario_a_rule: str = "single_result"
@@ -292,13 +301,19 @@ def _poisson_table(mean: float) -> tuple[np.ndarray, int]:
     return cdf, head
 
 
-def _poisson_counts(u: np.ndarray, mean: float) -> np.ndarray:
-    """Poisson(``mean``) counts by inverse CDF: the number of table entries ``<= u``.
+#: The source law of a one-photon pulse on a lossless line, as (table, head)
+#: by share: the whole pulse holds its photon and none of it holds nothing.
+#: A photon is not split, so no other share has a table.
+_one_photon_source = {1.0: (np.array([0.0, 1.0]), 2), 0.0: (np.array([1.0]), 1)}.__getitem__
+
+
+def _inverse_cdf(u: np.ndarray, table: tuple[np.ndarray, int]) -> np.ndarray:
+    """Counts by inverse CDF: the number of entries of ``table`` that are ``<= u``.
 
     Each uniform is compared with the head of the table; only the few past
     the head are placed by binary search.  Returns a writable uint8 array.
     """
-    cdf, head = _poisson_table(mean)
+    cdf, head = table
     counts = (u >= cdf[0]).view(np.uint8)
     for edge in cdf[1:head]:
         counts += u >= edge
@@ -393,19 +408,26 @@ def _scenarios(routes: np.ndarray) -> dict[str, int]:
 
 
 def _simulate_batch(
-    config: SessionConfig, rng: np.random.Generator, size: int
+    config: SessionConfig, rng: np.random.Generator, size: int, source: Callable | None = None
 ) -> _Tally:
+    """Tally one batch; ``source(share)`` gives the (table, head) of the photons
+    in that share of a pulse, by default Poisson(``mu share``).
+    """
     mu = config.optics.mu
     eta = config.optics.eta
     attack = config.attack
     tally = _Tally(n_pulses=size)
+
+    def counts(share: float) -> np.ndarray:
+        table = _poisson_table(mu * share) if source is None else source(share)
+        return _inverse_cdf(rng.random(size), table)
 
     signal = np.frombuffer(rng.bytes(size), dtype=np.uint8)
     # 128 where the receiver's basis (bit 2) is not the sender's (bit 1).
     wrong = ((signal << 6) ^ (signal << 5)) & 128
 
     if attack is None or isinstance(attack, OptimalIncoherent):
-        k = _poisson_counts(rng.random(size), mu * eta)
+        k = counts(eta)
         by_count = _by_count(k, wrong)
         if attack is not None:
             sifted = _sifted(by_count)
@@ -413,8 +435,8 @@ def _simulate_batch(
             tally.eve_correct = int(rng.binomial(sifted, opt_guess_prob(attack.d)))
 
     elif isinstance(attack, InterceptResend):
-        k = _poisson_counts(rng.random(size), mu * eta)
-        lost = _poisson_counts(rng.random(size), mu * (1.0 - eta))
+        k = counts(eta)
+        lost = counts(1.0 - eta)
         attacked = np.flatnonzero(((k | lost) != 0) & (rng.random(size) < attack.eps))
         resent = _resend(rng, k, attacked, eta)
         by_count = _by_count(k, wrong)
@@ -423,8 +445,8 @@ def _simulate_batch(
         tally.eve_correct = right + _coins(rng, _sifted(by_count) - sifted_resent.size)
 
     elif isinstance(attack, (BsInterceptResend, BsOptimal)):
-        k = _poisson_counts(rng.random(size), mu * attack.t)
-        k_eve = _poisson_counts(rng.random(size), mu * (1.0 - attack.t))
+        k = counts(attack.t)
+        k_eve = counts(1.0 - attack.t)
         routes = (
             (k != 0).view(np.uint8)
             | ((k_eve != 0).view(np.uint8) << 1)
@@ -456,7 +478,7 @@ def _simulate_batch(
             tally.eve_correct = right + right_resent + _coins(rng, untouched)
 
     elif isinstance(attack, Pns):
-        n = _poisson_counts(rng.random(size), mu)
+        n = counts(1.0)
         k = n - (n != 0).view(np.uint8)  # one photon taken; kept singles get theirs back
         singles = np.flatnonzero(n == 1)
         kept = singles[rng.random(singles.size) >= attack.kappa]
@@ -480,12 +502,14 @@ def _simulate_batch(
     return tally
 
 
-def _simulate_shard(config: SessionConfig, rng: np.random.Generator, n: int) -> _Tally:
+def _simulate_shard(
+    config: SessionConfig, rng: np.random.Generator, n: int, source: Callable | None = None
+) -> _Tally:
     total = _Tally()
     done = 0
     while done < n:
         size = min(_BATCH, n - done)
-        total.add(_simulate_batch(config, rng, size))
+        total.add(_simulate_batch(config, rng, size, source))
         done += size
     return total
 
@@ -501,15 +525,17 @@ def run_sharded(config: SessionConfig, n_shards: int) -> SessionStats:
     Shard ``i`` simulates its slice of pulses on ``shard_rng(seed, i)``;
     tallies merge associatively, so the result depends only on
     (config, n_shards).  ``n_shards=1`` reproduces :func:`run_session` exactly.
+    Every shard holds at least one pulse, so ``n_shards`` may not exceed
+    ``n_pulses``.
     """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards!r}")
+    if not 1 <= n_shards <= config.n_pulses:
+        raise ValueError(
+            f"n_shards must be in [1, n_pulses={config.n_pulses}], got {n_shards!r}"
+        )
     base, rem = divmod(config.n_pulses, n_shards)
-    sizes = [base + 1 if i < rem else base for i in range(n_shards)]
     total = _Tally()
-    for i, size in enumerate(sizes):
-        if size == 0:
-            continue
+    for i in range(n_shards):
+        size = base + 1 if i < rem else base
         total.add(_simulate_shard(config, shard_rng(config.seed, i), size))
     return total.freeze()
 
@@ -533,3 +559,35 @@ def scenario_expectations(config: SessionConfig) -> dict[str, float] | None:
     if config.attack is None:
         return None
     return config.attack.scenario_fractions(config.optics.mu)
+
+
+@dataclass(frozen=True)
+class AttackSample:
+    """Monte Carlo estimates of a single-photon attack's guess rate and disturbance."""
+
+    guess_rate: float
+    guess_stderr: float
+    disturbance: float
+    disturbance_stderr: float
+    sifted_count: int
+
+
+def _one_photon_run(attack: Attack, n_trials: int, rng: np.random.Generator) -> AttackSample:
+    """Run ``attack`` on ``n_trials`` one-photon pulses over a lossless line."""
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials!r}")
+    config = SessionConfig(OpticalConfig(mu=1.0), attack, n_trials, seed=0)  # unused: rng draws
+    s = _simulate_shard(config, rng, n_trials, _one_photon_source).freeze()
+    return AttackSample(
+        s.eve_accuracy, s.eve_accuracy_stderr, s.qber, s.qber_stderr, s.sifted_count
+    )
+
+
+def simulate_ir_attack(eps: float, n_trials: int, rng: np.random.Generator) -> AttackSample:
+    """Single-photon Breidbart intercept-resend on a fraction ``eps`` of the signals."""
+    return _one_photon_run(InterceptResend(eps=eps), n_trials, rng)
+
+
+def simulate_opt_attack(d: float, n_trials: int, rng: np.random.Generator) -> AttackSample:
+    """Single-photon optimal probe attack at disturbance ``d``."""
+    return _one_photon_run(OptimalIncoherent(d=d), n_trials, rng)

@@ -374,10 +374,6 @@ ATTACKS: dict[str, type[Attack]] = {
     cls.name: cls for cls in (InterceptResend, OptimalIncoherent, BsInterceptResend, BsOptimal, Pns)
 }
 
-#: Any attack definition; kept as the name the session configuration uses.
-AttackStrategy = Attack
-
-
 def bs_ir_predict(mu: float, t: float, d: float) -> AttackPrediction:
     """Beam-splitter plus intercept-resend performance.
 

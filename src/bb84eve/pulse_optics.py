@@ -38,20 +38,16 @@ MAX_MEAN_PHOTON_NUMBER = 20.0
 class OpticalConfig:
     """Source and line parameters: mean photon number, channel transmission.
 
-    ``splitter_t`` is the transmission of an in-line beam-splitter when one is
-    present; it is a separate knob from ``eta`` so that matching the two is an
-    explicit choice of the attacker rather than an implicit assumption.
+    A beam-splitter attack carries its own transmission ``t``, so that
+    matching it to ``eta`` is an explicit choice of the attacker.
     """
 
     mu: float
     eta: float = 1.0
-    splitter_t: float | None = None
 
     def __post_init__(self) -> None:
         check_range("mu", self.mu, 0.0, MAX_MEAN_PHOTON_NUMBER)
         check_range("eta", self.eta, 0.0, 1.0)
-        if self.splitter_t is not None:
-            check_range("splitter_t", self.splitter_t, 0.0, 1.0)
 
 
 def poisson_pmf(mu: float, n: int) -> float:

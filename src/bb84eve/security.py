@@ -22,56 +22,43 @@ from .pulse_optics import MAX_MEAN_PHOTON_NUMBER
 
 THRESHOLD_KINDS = tuple(ATTACKS)
 
-_UNITS = ("bits", "nats")
-
 _BISECT_LO = 1e-12
 _BISECT_HI = 0.5 - 1e-12
 _BISECT_ITERATIONS = 200
 
 
-def _log(x: float, unit: str) -> float:
-    return math.log2(x) if unit == "bits" else math.log(x)
+def phi(z: float) -> float:
+    """The symmetric information function ``(1-z)log2(1-z) + (1+z)log2(1+z)``.
 
-
-def _check_unit(unit: str) -> None:
-    if unit not in _UNITS:
-        raise ValueError(f"unit must be one of {_UNITS}, got {unit!r}")
-
-
-def phi(z: float, unit: str = "bits") -> float:
-    """The symmetric information function ``(1-z)log(1-z) + (1+z)log(1+z)``.
-
-    Defined on ``[-1, 1]`` with ``0 log 0 = 0`` by continuity.  Logs are base
-    2 (``unit="bits"``, default) or natural (``unit="nats"``).
+    Defined on ``[-1, 1]`` with ``0 log 0 = 0`` by continuity; in bits.
     """
-    _check_unit(unit)
     if abs(z) > 1.0:
         raise ValueError(f"z must be in [-1, 1], got {z!r}")
     total = 0.0
     for w in (1.0 - z, 1.0 + z):
         if w > 0.0:
-            total += w * _log(w, unit)
+            total += w * math.log2(w)
     return total
 
 
-def i_ab(d: float, unit: str = "bits") -> float:
+def i_ab(d: float) -> float:
     """Mutual information of the sifted key at observed error rate ``d``.
 
     Binary-symmetric-channel value ``phi(1 - 2d)/2``, i.e. ``1 - H2(d)`` bits.
     """
     if not 0.0 <= d <= 0.5:
         raise ValueError(f"d must be in [0, 1/2], got {d!r}")
-    return 0.5 * phi(1.0 - 2.0 * d, unit)
+    return 0.5 * phi(1.0 - 2.0 * d)
 
 
-def i_eve(p_correct: float, unit: str = "bits") -> float:
+def i_eve(p_correct: float) -> float:
     """Eavesdropper's information at bit-guessing probability ``p_correct``.
 
     Her effective flip rate is ``1 - p_correct``, giving ``phi(2 p - 1)/2``.
     """
     if not 0.5 <= p_correct <= 1.0:
         raise ValueError(f"p_correct must be in [1/2, 1], got {p_correct!r}")
-    return 0.5 * phi(2.0 * p_correct - 1.0, unit)
+    return 0.5 * phi(2.0 * p_correct - 1.0)
 
 
 def feasible(d_ab: float, p_correct: float) -> bool:

@@ -6,8 +6,10 @@ state matching her outcome.  The symmetric probe attack: a two-qubit probe is
 entangled with each signal by a unitary chosen so that every state sees the
 same fidelity ``F = 1 - D``; the probe is stored and measured only after the
 basis announcement, which makes it the strongest attack on one signal at a
-time.  Both come with closed-form guess probabilities, an explicit probe
-construction with unitarity verification, and sampling simulators.
+time.  Both come with closed-form guess probabilities, and the probe attack
+with an explicit probe construction and unitarity verification.  Their
+sampling simulators are engine runs on a one-photon source (see
+:mod:`bb84eve.engine`).
 """
 
 from __future__ import annotations
@@ -18,15 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import check_range
-from .states import (
-    BREIDBART_M0,
-    BREIDBART_RESEND_BIT1,
-    KET_U,
-    KET_V,
-    KET_X,
-    KET_Y,
-    SIGNAL_KETS,
-)
+from .states import KET_U, KET_V, KET_X, KET_Y
 
 _TOL = 1e-12
 
@@ -34,9 +28,6 @@ SQRT2 = math.sqrt(2.0)
 
 #: Guess probability of a full-strength Breidbart intercept-resend, (2+sqrt(2))/4.
 IR_MAX_GUESS_PROB = (2.0 + SQRT2) / 4.0
-
-#: Sifted-key error rate caused by a full-strength intercept-resend.
-IR_MAX_DISTURBANCE = 0.25
 
 
 def ir_guess_prob(eps: float) -> float:
@@ -247,107 +238,3 @@ def basis_symmetry_deviation(model: ProbeModel) -> float:
         for b_xy, b_uv in zip(xy_entries, uv_entries):
             dev = max(dev, abs(float(a_uv @ b_uv) - float(a_xy @ b_xy)))
     return dev
-
-
-@dataclass(frozen=True)
-class AttackSample:
-    """Monte Carlo estimates of an attack's guess rate and disturbance."""
-
-    guess_rate: float
-    guess_stderr: float
-    disturbance: float
-    disturbance_stderr: float
-    sifted_count: int
-
-
-def _binomial_stderr(p: float, n: int) -> float:
-    return math.sqrt(p * (1.0 - p) / n) if n > 0 else float("nan")
-
-
-def simulate_ir_attack(
-    eps: float, n_trials: int, rng: np.random.Generator
-) -> AttackSample:
-    """Per-signal simulation of the thinned Breidbart intercept-resend.
-
-    Each trial draws a uniform (bit, basis) signal.  With probability ``eps``
-    the eavesdropper measures it in the Breidbart basis, records the outcome
-    as her bit guess and forwards the matching Breidbart state; otherwise the
-    signal passes untouched and she guesses by coin flip.  The receiver
-    measures in a uniform independent basis; only same-basis trials enter the
-    sifted statistics.
-    """
-    check_range("eps", eps, 0.0, 1.0)
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials!r}")
-
-    # P(receiver outcome = bit 1 | signal, measurement basis); bit-1 kets are y, u.
-    p1_signal = np.array(
-        [
-            [[float(b1 @ ket) ** 2 for ket in kets] for kets in SIGNAL_KETS]
-            for b1 in (KET_Y, KET_U)
-        ]
-    )
-
-    bits = rng.integers(0, 2, n_trials)
-    bases = rng.integers(0, 2, n_trials)
-    attacked = rng.random(n_trials) < eps
-    eve_outcome = (rng.random(n_trials) >= BREIDBART_M0[bases, bits]).astype(np.int64)
-    bob_basis = rng.integers(0, 2, n_trials)
-
-    p_bit1 = np.where(
-        attacked,
-        BREIDBART_RESEND_BIT1[bob_basis, eve_outcome],
-        p1_signal[bob_basis, bases, bits],
-    )
-    bob_bit = (rng.random(n_trials) < p_bit1).astype(np.int64)
-    eve_guess = np.where(attacked, eve_outcome, rng.integers(0, 2, n_trials))
-
-    sifted = bases == bob_basis
-    n_sifted = int(np.count_nonzero(sifted))
-    disturbance = float(np.mean(bob_bit[sifted] != bits[sifted]))
-    guess_rate = float(np.mean(eve_guess[sifted] == bits[sifted]))
-    return AttackSample(
-        guess_rate=guess_rate,
-        guess_stderr=_binomial_stderr(guess_rate, n_sifted),
-        disturbance=disturbance,
-        disturbance_stderr=_binomial_stderr(disturbance, n_sifted),
-        sifted_count=n_sifted,
-    )
-
-
-def simulate_opt_attack(
-    d: float, n_trials: int, rng: np.random.Generator
-) -> AttackSample:
-    """Outcome-level simulation of the optimal probe attack at disturbance ``d``.
-
-    The probe interaction fully determines the joint outcome distribution:
-    per sifted signal the receiver's bit flips with probability ``d``, the
-    eavesdropper always learns which probe set she holds, and within the set
-    her discrimination succeeds with the Helstrom probability of the common
-    overlap.  The state-vector construction itself is exercised separately by
-    :func:`verify_unitarity`.
-    """
-    check_range("d", d, 0.0, 0.5)
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials!r}")
-
-    model = probe_model_from_disturbance(d)
-    p_success = helstrom(model.probe_overlap)
-
-    bits = rng.integers(0, 2, n_trials)
-    bases = rng.integers(0, 2, n_trials)
-    bob_basis = rng.integers(0, 2, n_trials)
-    flipped = rng.random(n_trials) < d
-    success = rng.random(n_trials) < p_success
-
-    sifted = bases == bob_basis
-    n_sifted = int(np.count_nonzero(sifted))
-    disturbance = float(np.mean(flipped[sifted]))
-    guess_rate = float(np.mean(success[sifted]))
-    return AttackSample(
-        guess_rate=guess_rate,
-        guess_stderr=_binomial_stderr(guess_rate, n_sifted),
-        disturbance=disturbance,
-        disturbance_stderr=_binomial_stderr(disturbance, n_sifted),
-        sifted_count=n_sifted,
-    )

@@ -285,6 +285,29 @@ class TestSimulateCommand:
             result = run_cli(command, "--config", str(cfg), expect=2)
             assert_one_line_error(result, "must be a number or a string")
 
+    def test_config_booleans_are_not_numbers(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        for command, key in (("thresholds", "mu"), ("simulate", "mu"), ("simulate", "pulses")):
+            cfg.write_text(json.dumps({"mu": 1, key: True}))
+            result = run_cli(command, "--config", str(cfg), expect=2)
+            assert_one_line_error(result, f"config value {key!r} must be a number")
+
+    def test_config_counts_must_be_integers(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        for command, key in (("simulate", "pulses"), ("simulate", "seed"),
+                             ("simulate", "shards"), ("sweep", "steps")):
+            cfg.write_text(json.dumps({"mu": 1, "strategy": "ir", key: 2.5}))
+            result = run_cli(command, "--config", str(cfg), expect=2)
+            assert_one_line_error(result, f"config value {key!r} must be an integer, got 2.5")
+        cfg.write_text(json.dumps({"mu": 1, "pulses": 10.0, "seed": 3.0}))
+        doc = json.loads(run_cli("simulate", "--config", str(cfg), "--format", "json").stdout)
+        assert (doc["params"]["pulses"], doc["params"]["seed"]) == (10, 3)
+
+    def test_more_shards_than_pulses_is_a_usage_error(self):
+        result = run_cli("simulate", "--mu", "1", "--pulses", "4", "--shards", "5", expect=2)
+        assert_one_line_error(result, "shards must be in [1, pulses=4], got 5")
+        run_cli("simulate", "--mu", "1", "--pulses", "4", "--shards", "4")
+
     def test_validation(self):
         run_cli("simulate", "--attack", "bs-ir", "--mu", "1", expect=2)  # missing --t
         run_cli("simulate", "--attack", "opt", "--mu", "1", "--d", "0.7", expect=2)

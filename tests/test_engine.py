@@ -20,7 +20,7 @@ from bb84eve.pulse_attacks import (
     Pns,
     kappa_for_channel,
 )
-from bb84eve.engine import _poisson_counts, _poisson_table, _simulate_batch
+from bb84eve.engine import _inverse_cdf, _one_photon_source, _poisson_table, _simulate_batch
 from bb84eve.pulse_optics import SERIES_CUTOFF, OpticalConfig, coincidence_prob, poisson_pmf
 from bb84eve.single_photon import IR_MAX_GUESS_PROB
 
@@ -101,7 +101,7 @@ class TestPoissonSampler:
         # where rounding of the two tables may differ by an ulp.
         u = FIXED_UNIFORMS[~np.isin(FIXED_UNIFORMS, cdf)]
         assert u.size >= FIXED_UNIFORMS.size - 1
-        counts = _poisson_counts(u, mean)
+        counts = _inverse_cdf(u, _poisson_table(mean))
         assert np.array_equal(counts, scistats.poisson.ppf(u, mean).astype(np.int64))
 
     @pytest.mark.parametrize("mean", [0.0, 1e-3, 1.0, 20.0])
@@ -111,6 +111,11 @@ class TestPoissonSampler:
         assert np.all(np.diff(cdf) >= 0.0)
         assert 1 <= head <= cdf.size and cdf.size < 128
         assert not cdf.flags.writeable
+
+    def test_one_photon_source_puts_the_photon_in_the_whole_pulse(self):
+        whole = _inverse_cdf(FIXED_UNIFORMS, _one_photon_source(1.0))
+        none = _inverse_cdf(FIXED_UNIFORMS, _one_photon_source(0.0))
+        assert np.all(whole == 1) and np.all(none == 0)
 
     def test_top_of_domain_histogram_is_poissonian(self):
         cfg = make_config(None, mu=20.0, eta=1.0, n_pulses=400_000, seed=11)
@@ -175,6 +180,12 @@ class TestDeterminism:
         cfg = make_config(None, n_pulses=100_001)
         stats = run_sharded(cfg, 7)
         assert stats.n_pulses == 100_001
+
+    def test_every_shard_holds_a_pulse(self):
+        cfg = make_config(None, n_pulses=4)
+        assert run_sharded(cfg, 4).n_pulses == 4
+        with pytest.raises(ValueError, match="n_shards must be in"):
+            run_sharded(cfg, 5)
 
 
 class TestInterceptResendSessions:

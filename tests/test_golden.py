@@ -49,8 +49,8 @@ SESSION_DIGESTS = {
 }
 
 SINGLE_PHOTON_DIGESTS = {
-    "simulate_ir_attack": "daea4d8475a095d3ae0ec6c44af91ed55a5e1e979899e070f8ef63af06171a1e",
-    "simulate_opt_attack": "a900bf3b31d60dd50595a5c7d179604cef9e711b1dd496b52249c40867134788",
+    "simulate_ir_attack": "ef9fe9ff5a448344c53fac57c3cfba03aca81991ea1f6dde5eeb7c9d5b5bc3f0",
+    "simulate_opt_attack": "5523f63047d2846ecc2827bae60f8ffd4e0f7d91ea3f6a2e6941e4c60fefacaf",
 }
 
 

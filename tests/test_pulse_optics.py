@@ -187,8 +187,8 @@ class TestCoincidence:
 
 class TestOpticalConfig:
     def test_accepts_valid(self):
-        cfg = OpticalConfig(mu=1.0, eta=0.9, splitter_t=0.9)
-        assert cfg.splitter_t == 0.9
+        cfg = OpticalConfig(mu=1.0, eta=0.9)
+        assert (cfg.mu, cfg.eta) == (1.0, 0.9)
 
     def test_rejects_bright_source(self):
         with pytest.raises(ValueError):

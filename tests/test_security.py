@@ -30,12 +30,6 @@ class TestPhi:
     def test_value(self):
         assert phi(0.5) == pytest.approx(0.37744375108173434, abs=1e-12)
 
-    def test_nats_option(self):
-        assert phi(1.0, unit="nats") == pytest.approx(2.0 * math.log(2.0), abs=1e-15)
-        assert phi(0.5, unit="nats") == pytest.approx(
-            phi(0.5) * math.log(2.0), abs=1e-12
-        )
-
     def test_even_and_convex(self):
         grid = np.linspace(-1.0, 1.0, 201)
         values = [phi(float(z)) for z in grid]
@@ -48,8 +42,6 @@ class TestPhi:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             phi(1.1)
-        with pytest.raises(ValueError):
-            phi(0.5, unit="dits")
 
 
 class TestMutualInformation:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bb84eve.engine import simulate_ir_attack, simulate_opt_attack
 from bb84eve.single_photon import (
     IR_MAX_GUESS_PROB,
     construct_probe_vectors,
@@ -13,8 +14,6 @@ from bb84eve.single_photon import (
     ir_guess_prob,
     opt_guess_prob,
     probe_model_from_disturbance,
-    simulate_ir_attack,
-    simulate_opt_attack,
     verify_unitarity,
 )
 

@@ -36,6 +36,17 @@ class TestEncoding:
             for state in kets:
                 assert abs(float(state @ state) - 1.0) < 1e-12
 
+    def test_receiver_reading_of_an_untouched_signal(self):
+        # The engine's premise for untouched pulses: a same-basis reading
+        # returns the signal's own bit and a wrong-basis one is a fair coin.
+        for basis, kets in enumerate(SIGNAL_KETS):
+            for bit, signal in enumerate(kets):
+                for read_basis, read_kets in enumerate(SIGNAL_KETS):
+                    p_bit1 = overlap_sq(read_kets[1], signal)
+                    assert abs(overlap_sq(read_kets[0], signal) + p_bit1 - 1.0) < 1e-12
+                    expected = float(bit) if read_basis == basis else 0.5
+                    assert abs(p_bit1 - expected) < 1e-12
+
     def test_hadamard_maps_xy_to_uv(self):
         hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / SQRT2
         assert np.max(np.abs(hadamard @ KET_X - KET_U)) < 1e-12
