@@ -82,7 +82,8 @@ def _merge_params(args: argparse.Namespace, names: list[str], defaults: dict) ->
     """Resolve values by precedence: explicit flag, config file, default.
 
     Config files (and re-fed manifests) use underscore keys, matching the
-    ``params`` block every command emits.
+    ``params`` block every command emits.  A key the command does not read
+    is an error, so that a misspelt one cannot silently run the default.
     """
     from_file: dict = {}
     if getattr(args, "config", None):
@@ -107,6 +108,9 @@ def _merge_params(args: argparse.Namespace, names: list[str], defaults: dict) ->
             merged[name] = value
         else:
             merged[name] = defaults.get(name)
+    unknown = sorted(set(from_file) - {name.replace("-", "_") for name in names})
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
     return merged
 
 
@@ -390,6 +394,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _merge_params(args, [], {})  # verify reads no parameter: any config key is unknown
     rng = np.random.default_rng(20240814)
     failures = 0
     checks: list[dict] = []

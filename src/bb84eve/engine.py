@@ -25,25 +25,38 @@ rest: when each photon of a Poisson(m) pulse goes one way with probability
 p and the other way otherwise, independently, the two shares are
 independent Poissons of means ``m p`` and ``m (1-p)``.  So no pulse is
 thinned or split photon by photon, and only the counts some tally reads are
-drawn:
+drawn.
 
-- no attack and the probe attack: the receiver's count, Poisson(mu eta).
-  The probe flips only pulses that left the source with a photon, which
-  every sifted pulse did;
-- beam-splitter attacks: the receiver's arm, Poisson(mu t), and the tap,
-  Poisson(mu (1-t)), independent of each other;
-- intercept-resend: the line's share, Poisson(mu eta), and the lost share,
-  Poisson(mu (1-eta)).  Their sum is the source count, which decides whether
-  there is a pulse to intercept; a resent photon arrives with probability
-  eta;
-- photon-number splitting: the source count, Poisson(mu); a multi-photon
-  pulse delivers all but the photon taken.
+Only live pulses are drawn at all.  Pulses are exchangeable and no tally
+depends on their order, so a batch first draws how many of its pulses are
+live, binomially, and gives only those a signal and photon counts, from
+tables conditioned on the pulse being live.  A dead pulse delivers nothing
+to anyone: it is tallied as an empty pulse, and as the ``empty`` scenario
+under a beam-splitter attack.  What makes a pulse live, and what is drawn
+for it, depends on the attack:
 
-A one-photon source on a lossless line has the table ``[0, 1]`` for the
-whole pulse and ``[1]`` for none of it.  On it the ``ir`` and ``opt``
-kernels are the single-photon attacks: :func:`simulate_ir_attack` and
-:func:`simulate_opt_attack` run them, drawing in the order below from the
-``Generator`` their caller passes.
+- no attack and the probe attack: the receiver's share holds a photon, with
+  probability ``1 - e^(-mu eta)``; the receiver's count is then
+  zero-truncated Poisson(mu eta).  The probe flips only pulses that left
+  the source with a photon, which every sifted pulse did;
+- the other attacks: the source emitted a photon, with probability
+  ``1 - e^(-mu)``.  The dead pulses all lie inside each share's zero count,
+  so a share counting Poisson(mu p) has, given a live pulse,
+  P(k <= j) = (P_p(k <= j) - e^(-mu)) / (1 - e^(-mu));
+- intercept-resend: the line's share, Poisson(mu eta), given a live pulse.
+  Every live pulse is one to intercept; a resent photon arrives with
+  probability eta;
+- beam-splitter attacks: the receiver's arm, Poisson(mu t), given a live
+  pulse; then the tap, independent of the arm, Poisson(mu (1-t)) where the
+  arm holds a photon and zero-truncated where it does not;
+- photon-number splitting: the source count, zero-truncated Poisson(mu); a
+  multi-photon pulse delivers all but the photon taken.
+
+A one-photon pulse on a lossless line is always live, and its count, all
+of which reaches the receiver, has the table ``[0, 1]``.  On this source the
+``ir`` and ``opt`` kernels are the single-photon attacks:
+:func:`simulate_ir_attack` and :func:`simulate_opt_attack` run them, drawing
+in the order below from the ``Generator`` their caller passes.
 
 Outcomes are drawn only where a tally reads them: the eavesdropper's and the
 receiver's readings only for sifted pulses, and the detector routing only
@@ -58,17 +71,19 @@ stream for shard ``i`` of a session with seed ``s`` is
 shard 0.  A shard runs in batches of at most ``_BATCH`` pulses, and a batch
 draws, in this order:
 
-1. one byte per pulse from ``Generator.bytes``: bit 0 is the sender's bit,
-   bit 1 her basis and bit 2 the receiver's basis;
-2. one uniform per pulse for each photon count above, in the order listed;
-3. the attack's choices, one uniform per candidate pulse: the non-empty
-   pulses intercept-resend takes, the whole pulses the beam-splitter hybrid
+1. the number of live pulses, one ``Generator.binomial`` draw;
+2. one byte per live pulse from ``Generator.bytes``: bit 0 is the sender's
+   bit, bit 1 her basis and bit 2 the receiver's basis;
+3. one uniform per live pulse for each photon count above, in the order
+   listed (the tap's two laws read the same uniform);
+4. the attack's choices, one uniform per candidate pulse: the live pulses
+   intercept-resend takes, the whole pulses the beam-splitter hybrid
    resends, the single-photon pulses PNS blocks; then whether each resent
    photon arrives;
-4. the sifted outcomes: tap readouts, Breidbart measurements followed by
+5. the sifted outcomes: tap readouts, Breidbart measurements followed by
    the receiver's readings of the resent states, probe flips followed by
    probe guesses, and coin-flip guesses;
-5. the routing of the wrong-basis pulses, in increasing photon count.
+6. the routing of the wrong-basis pulses, in increasing photon count.
 
 Results are reproducible bit for bit for a fixed (seed, n_pulses, n_shards)
 regardless of how shards are executed.
@@ -260,7 +275,7 @@ class _Tally:
         )
 
 
-#: Every uniform is compared directly with the head of a Poisson table: its
+#: Every uniform is compared directly with the head of a table: its
 #: entries up to the first past which less than ``_TAIL_MASS`` of the mass
 #: remains, at most ``_MAX_HEAD`` of them.  The rest go to a binary search.
 _TAIL_MASS = 1.0 / 64
@@ -269,29 +284,29 @@ _MAX_HEAD = 6
 #: below 1e-50.
 _TABLE_TERMS = 128
 
+#: A cumulative table of photon counts and the length of its head.
+_Table = tuple[np.ndarray, int]
+#: The chance that a pulse is live, and the table of its counted photons
+#: given that it is.
+_Law = tuple[float, _Table]
+
 #: Bits of a splitter route code: photons on the receiver's arm, photons on
 #: the tap; a route code adds 4 when the receiver is in the wrong basis.
 _ROUTE_BOB, _ROUTE_EVE = 1, 2
 _ROUTE_BOTH = _ROUTE_BOB | _ROUTE_EVE
 
 
-@functools.lru_cache(maxsize=32)
-def _poisson_table(mean: float) -> tuple[np.ndarray, int]:
-    """Cumulative Poisson(``mean``) table and the length of its head.
+def _cumulative(pmf: np.ndarray) -> _Table:
+    """Cumulative table of ``pmf`` and the length of its head.
 
-    Entry ``n`` is P(N <= n).  Entries below 1/2 are forward sums of the
-    probabilities and the rest are one minus the tail summed from the far
-    end, so each is accurate to about an ulp.  The table ends at its first
-    entry that is 1.0 in float64, which no uniform in [0, 1) reaches; for
-    ``mean <= 20`` that is before entry 70, so a count fits in 7 bits.  The
-    head holds the entries up to the first past which less than
-    ``_TAIL_MASS`` of the mass remains.
+    Entries below 1/2 are forward sums of the probabilities and the rest are
+    one minus the tail summed from the far end, so each is accurate to about
+    an ulp.  The table ends at its first entry that is 1.0 in float64, which
+    no uniform in [0, 1) reaches; for the means used here (at most 20) that
+    is before entry 70, so a count fits in 7 bits.  The head holds the
+    entries up to the first past which less than ``_TAIL_MASS`` of the mass
+    remains.
     """
-    check_range("mean", mean, 0.0, MAX_MEAN_PHOTON_NUMBER)
-    ratios = np.full(_TABLE_TERMS, float(mean))
-    ratios[0] = 1.0
-    ratios[1:] /= np.arange(1, _TABLE_TERMS)
-    pmf = math.exp(-mean) * np.cumprod(ratios)
     below = np.cumsum(pmf)
     above = 1.0 - np.append(np.cumsum(pmf[::-1])[-2::-1], 0.0)
     cdf = np.maximum.accumulate(np.where(below < 0.5, below, above))
@@ -301,13 +316,71 @@ def _poisson_table(mean: float) -> tuple[np.ndarray, int]:
     return cdf, head
 
 
-#: The source law of a one-photon pulse on a lossless line, as (table, head)
-#: by share: the whole pulse holds its photon and none of it holds nothing.
-#: A photon is not split, so no other share has a table.
-_one_photon_source = {1.0: (np.array([0.0, 1.0]), 2), 0.0: (np.array([1.0]), 1)}.__getitem__
+def _series(x: float, first: float, start: int, n: int) -> np.ndarray:
+    """The ``n`` running products of ``first``, ``x/start``, ``x/(start+1)``, ..."""
+    ratios = np.full(n, float(x))
+    ratios[0] = first
+    ratios[1:] /= np.arange(start, start + n - 1)
+    return np.cumprod(ratios)
 
 
-def _inverse_cdf(u: np.ndarray, table: tuple[np.ndarray, int]) -> np.ndarray:
+def _expm1_ratio(x: float) -> float:
+    """``(1 - e^-x) / x``, the chance that a Poisson(x) pulse holds a photon over
+    ``x``; it is 1 at ``x = 0``."""
+    return -math.expm1(-x) / x if x > 0.0 else 1.0
+
+
+@functools.lru_cache(maxsize=32)
+def _poisson_table(mean: float) -> _Table:
+    """Cumulative Poisson(``mean``) table and the length of its head.
+
+    Entry ``n`` is P(N <= n); see :func:`_cumulative`.
+    """
+    check_range("mean", mean, 0.0, MAX_MEAN_PHOTON_NUMBER)
+    return _cumulative(math.exp(-mean) * _series(mean, 1.0, 1, _TABLE_TERMS))
+
+
+@functools.lru_cache(maxsize=32)
+def _live_table(mean: float, share: float) -> _Table:
+    """Table of the photons in ``share`` of a Poisson(``mean``) pulse that holds one.
+
+    The pulse holds a photon with probability ``L = -expm1(-mean)``.  Its
+    ``share`` holds Poisson(``x = mean share``) photons and the rest
+    independent Poisson(``mean (1-share)``), so given ``L`` the share holds
+    ``j >= 1`` photons with probability ``e^-x x^j / j! / L``, and none with
+    ``e^-x (1 - e^(-mean (1-share))) / L``.  Both are divided by
+    ``L / mean``, which is :func:`_expm1_ratio`, with one factor of ``mean``
+    cancelled, so neither is 0/0 where ``mean`` is 0 or underflows: there
+    the law tends to one photon, in the share with probability ``share``.
+    ``share = 1`` gives the zero-truncated Poisson(``mean``).
+    """
+    check_range("mean", mean, 0.0, MAX_MEAN_PHOTON_NUMBER)
+    check_range("share", share, 0.0, 1.0)
+    x = mean * share
+    pmf = np.empty(_TABLE_TERMS)
+    pmf[0] = (1.0 - share) * _expm1_ratio(mean * (1.0 - share))
+    pmf[1:] = _series(x, share, 2, _TABLE_TERMS - 1)
+    return _cumulative(pmf * (math.exp(-x) / _expm1_ratio(mean)))
+
+
+def _poisson_source(mu: float, lit: float, share: float) -> _Law:
+    """The live law of a Poisson(``mu``) pulse: the chance that its ``lit``
+    share holds a photon, and the table of the photons in ``share`` of that
+    part given that it does."""
+    return -math.expm1(-mu * lit), _live_table(mu * lit, share)
+
+
+_ONE_PHOTON_LAWS = {(1.0, 1.0): (1.0, (np.array([0.0, 1.0]), 2))}
+
+
+def _one_photon_source(lit: float, share: float) -> _Law:
+    """The live law of a one-photon pulse on a lossless line: the pulse always
+    holds its photon, and all of it reaches the receiver.  No other share is
+    drawn on it."""
+    return _ONE_PHOTON_LAWS[lit, share]
+
+
+def _inverse_cdf(u: np.ndarray, table: _Table) -> np.ndarray:
     """Counts by inverse CDF: the number of entries of ``table`` that are ``<= u``.
 
     Each uniform is compared with the head of the table; only the few past
@@ -407,27 +480,42 @@ def _scenarios(routes: np.ndarray) -> dict[str, int]:
     return {"both": int(c[3]), "eve_only": int(c[2]), "bob_only": int(c[1]), "empty": int(c[0])}
 
 
+def _live_pulses(
+    rng: np.random.Generator, size: int, law: _Law
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw how many of ``size`` pulses are live, then their signals and counts.
+
+    ``law`` is the chance that a pulse is live and the table of its counted
+    photons given that it is.  Returns each live pulse's signal byte, its
+    wrong-basis flag (see :func:`_by_count`) and its count.
+    """
+    p_live, table = law
+    m = int(rng.binomial(size, p_live))
+    signal = np.frombuffer(rng.bytes(m), dtype=np.uint8)
+    # 128 where the receiver's basis (bit 2) is not the sender's (bit 1).
+    wrong = ((signal << 6) ^ (signal << 5)) & 128
+    return signal, wrong, _inverse_cdf(rng.random(m), table)
+
+
 def _simulate_batch(
     config: SessionConfig, rng: np.random.Generator, size: int, source: Callable | None = None
 ) -> _Tally:
-    """Tally one batch; ``source(share)`` gives the (table, head) of the photons
-    in that share of a pulse, by default Poisson(``mu share``).
+    """Tally one batch of ``size`` pulses, drawing only the live ones.
+
+    ``source(lit, share)`` gives the chance that the ``lit`` share of a pulse
+    holds a photon and the (table, head) of the photons in ``share`` of that
+    part given that it does; by default the laws of a Poisson(``mu``) pulse.
+    The dead pulses deliver nothing, and no draw is spent on them.
     """
     mu = config.optics.mu
     eta = config.optics.eta
     attack = config.attack
+    source = source or functools.partial(_poisson_source, mu)
     tally = _Tally(n_pulses=size)
 
-    def counts(share: float) -> np.ndarray:
-        table = _poisson_table(mu * share) if source is None else source(share)
-        return _inverse_cdf(rng.random(size), table)
-
-    signal = np.frombuffer(rng.bytes(size), dtype=np.uint8)
-    # 128 where the receiver's basis (bit 2) is not the sender's (bit 1).
-    wrong = ((signal << 6) ^ (signal << 5)) & 128
-
     if attack is None or isinstance(attack, OptimalIncoherent):
-        k = counts(eta)
+        # Live: the receiver's share holds a photon.
+        signal, wrong, k = _live_pulses(rng, size, source(eta, 1.0))
         by_count = _by_count(k, wrong)
         if attack is not None:
             sifted = _sifted(by_count)
@@ -435,9 +523,9 @@ def _simulate_batch(
             tally.eve_correct = int(rng.binomial(sifted, opt_guess_prob(attack.d)))
 
     elif isinstance(attack, InterceptResend):
-        k = counts(eta)
-        lost = counts(1.0 - eta)
-        attacked = np.flatnonzero(((k | lost) != 0) & (rng.random(size) < attack.eps))
+        # Live: the source emitted a photon, so there is a pulse to intercept.
+        signal, wrong, k = _live_pulses(rng, size, source(1.0, eta))
+        attacked = np.flatnonzero(rng.random(k.size) < attack.eps)
         resent = _resend(rng, k, attacked, eta)
         by_count = _by_count(k, wrong)
         sifted_resent = resent[wrong[resent] == 0]
@@ -445,14 +533,23 @@ def _simulate_batch(
         tally.eve_correct = right + _coins(rng, _sifted(by_count) - sifted_resent.size)
 
     elif isinstance(attack, (BsInterceptResend, BsOptimal)):
-        k = counts(attack.t)
-        k_eve = counts(1.0 - attack.t)
+        # Live: the source emitted a photon, on the receiver's arm or the tap.
+        signal, wrong, k = _live_pulses(rng, size, source(1.0, attack.t))
+        # The tap is independent of the receiver's arm, a Poisson property:
+        # Poisson(mu (1-t)) where the arm holds a photon, and zero-truncated
+        # where it holds none, since the pulse is live.
+        u = rng.random(k.size)
+        k_eve = _inverse_cdf(u, _poisson_table(mu * (1.0 - attack.t)))
+        dark = np.flatnonzero(k == 0)
+        if dark.size:
+            k_eve[dark] = _inverse_cdf(u[dark], source(1.0 - attack.t, 1.0)[1])
         routes = (
             (k != 0).view(np.uint8)
             | ((k_eve != 0).view(np.uint8) << 1)
             | (wrong >> 5)
         )
         tally.scenario = _scenarios(routes)
+        tally.scenario["empty"] += size - k.size  # the dead pulses
         tapped = routes == _ROUTE_BOTH  # both arms lit, sender's basis
         if isinstance(attack, BsOptimal):
             by_count = _by_count(k, wrong)
@@ -478,8 +575,9 @@ def _simulate_batch(
             tally.eve_correct = right + right_resent + _coins(rng, untouched)
 
     elif isinstance(attack, Pns):
-        n = counts(1.0)
-        k = n - (n != 0).view(np.uint8)  # one photon taken; kept singles get theirs back
+        # Live: the source emitted a photon; the eavesdropper takes one.
+        signal, wrong, n = _live_pulses(rng, size, source(1.0, 1.0))
+        k = n - 1  # kept singles get theirs back
         singles = np.flatnonzero(n == 1)
         kept = singles[rng.random(singles.size) >= attack.kappa]
         k[kept] = 1
@@ -494,6 +592,7 @@ def _simulate_batch(
         raise TypeError(f"unsupported attack {attack!r}")
 
     counts = by_count.sum(axis=0)
+    counts[0] += size - k.size
     tally.hist[:_HIST_MAX] = counts[:_HIST_MAX]
     tally.hist[_HIST_MAX] = counts[_HIST_MAX:].sum()
     tally.sifted = _sifted(by_count)

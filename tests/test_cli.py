@@ -303,6 +303,18 @@ class TestSimulateCommand:
         doc = json.loads(run_cli("simulate", "--config", str(cfg), "--format", "json").stdout)
         assert (doc["params"]["pulses"], doc["params"]["seed"]) == (10, 3)
 
+    @pytest.mark.parametrize("command, params", [
+        ("thresholds", {"mu": 0.1}),
+        ("sweep", {"strategy": "ir", "mu": 0.1}),
+        ("simulate", {"mu": 0.1}),
+        ("verify", {}),
+    ])
+    def test_unknown_config_keys_are_usage_errors(self, tmp_path, command, params):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**params, "pulsess": 5}))
+        result = run_cli(command, "--config", str(cfg), expect=2)
+        assert_one_line_error(result, f"{command}: unknown config key 'pulsess'")
+
     def test_more_shards_than_pulses_is_a_usage_error(self):
         result = run_cli("simulate", "--mu", "1", "--pulses", "4", "--shards", "5", expect=2)
         assert_one_line_error(result, "shards must be in [1, pulses=4], got 5")

@@ -20,7 +20,13 @@ from bb84eve.pulse_attacks import (
     Pns,
     kappa_for_channel,
 )
-from bb84eve.engine import _inverse_cdf, _one_photon_source, _poisson_table, _simulate_batch
+from bb84eve.engine import (
+    _inverse_cdf,
+    _live_table,
+    _one_photon_source,
+    _poisson_table,
+    _simulate_batch,
+)
 from bb84eve.pulse_optics import SERIES_CUTOFF, OpticalConfig, coincidence_prob, poisson_pmf
 from bb84eve.single_photon import IR_MAX_GUESS_PROB
 
@@ -113,9 +119,9 @@ class TestPoissonSampler:
         assert not cdf.flags.writeable
 
     def test_one_photon_source_puts_the_photon_in_the_whole_pulse(self):
-        whole = _inverse_cdf(FIXED_UNIFORMS, _one_photon_source(1.0))
-        none = _inverse_cdf(FIXED_UNIFORMS, _one_photon_source(0.0))
-        assert np.all(whole == 1) and np.all(none == 0)
+        p_live, table = _one_photon_source(1.0, 1.0)
+        assert p_live == 1.0
+        assert np.all(_inverse_cdf(FIXED_UNIFORMS, table) == 1)
 
     def test_top_of_domain_histogram_is_poissonian(self):
         cfg = make_config(None, mu=20.0, eta=1.0, n_pulses=400_000, seed=11)
@@ -128,6 +134,76 @@ class TestPoissonSampler:
         observed = np.r_[hist[: lo + 1].sum(), hist[lo + 1 : hi], hist[hi:].sum()]
         pooled = np.r_[expected[: lo + 1].sum(), expected[lo + 1 : hi], expected[hi:].sum()]
         assert scistats.chisquare(observed, pooled).pvalue > 0.001
+
+
+def live_cdf(mean: float, share: float) -> np.ndarray:
+    """P(K <= j | the pulse holds a photon), j = 0..99, from scipy.stats.poisson.
+
+    K counts the photons in ``share`` of a Poisson(``mean``) pulse.  K > j >= 0
+    implies that the pulse holds a photon, so the conditional survival is
+    P(K > j) / P(N > 0).
+    """
+    return 1.0 - scistats.poisson.sf(np.arange(100), mean * share) / scistats.poisson.sf(0, mean)
+
+
+class TestLiveTables:
+    @pytest.mark.parametrize("share", [1.0, 0.9, 0.5, 0.1])
+    @pytest.mark.parametrize("mean", [1e-3, 0.1, 0.9, 1.0, 5.0, 20.0])
+    def test_inverse_cdf_matches_scipy(self, mean, share):
+        # share = 1 is the zero-truncated law, the others the given-live laws.
+        ref = live_cdf(mean, share)
+        # A uniform within rounding of a boundary of the reference may fall
+        # either side of it; every other uniform must get the same count.  A
+        # boundary at 0 is exact, and the two uniforms next to 1 always sit
+        # within rounding of the reference's last boundary, 1.
+        near = (ref > 0.0) & (np.abs(FIXED_UNIFORMS[:, None] - ref) <= 1e-14)
+        u = FIXED_UNIFORMS[~near.any(axis=1)]
+        assert u.size >= FIXED_UNIFORMS.size - 3
+        counts = _inverse_cdf(u, _live_table(mean, share))
+        assert np.array_equal(counts, np.searchsorted(ref, u, side="right"))
+
+    @pytest.mark.parametrize("mean, share", [(0.0, 0.3), (5e-324, 0.5), (20.0, 0.0), (1.0, 1.0)])
+    def test_table_runs_to_one_at_the_edges(self, mean, share):
+        cdf, head = _live_table(mean, share)
+        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+        assert 1 <= head <= cdf.size and not cdf.flags.writeable
+        if share == 1.0:
+            assert cdf[0] == 0.0  # a live pulse holds a photon
+        elif mean * share == 0.0 < share:
+            # One photon, in the share with probability share.
+            assert np.allclose(cdf, [1.0 - share, 1.0], rtol=1e-15)
+
+
+class TestDimRegime:
+    """mu = 0.1, eta = t = 0.5: 95% of the pulses are dead and never drawn."""
+
+    MU, ETA = 0.1, 0.5
+    N, SHARDS = 1 << 20, 128
+
+    def run(self, attack):
+        cfg = make_config(attack, mu=self.MU, eta=self.ETA, n_pulses=self.N, seed=20261018)
+        return cfg, run_sharded(cfg, self.SHARDS)
+
+    def assert_poissonian(self, hist, mean):
+        k_max = 3  # expects about 21 pulses of 3 photons or more
+        observed = np.r_[hist[:k_max], sum(hist[k_max:])]
+        expected = scistats.poisson.pmf(np.arange(k_max), mean)
+        expected = np.r_[expected, scistats.poisson.sf(k_max - 1, mean)] * self.N
+        assert scistats.chisquare(observed, expected).pvalue > 0.001
+
+    def test_receiver_histogram_is_poissonian(self):
+        _, stats = self.run(None)
+        self.assert_poissonian(stats.bob_count_hist, self.MU * self.ETA)
+
+    def test_splitter_scenarios_match_routing_probabilities(self):
+        cfg, stats = self.run(BsOptimal(t=self.ETA, d=0.1))
+        self.assert_poissonian(stats.bob_count_hist, self.MU * self.ETA)
+        expected = scenario_expectations(cfg)
+        keys = list(expected)
+        observed = [stats.scenario_counts[key] for key in keys]
+        assert sum(observed) == self.N
+        pvalue = scistats.chisquare(observed, [expected[key] * self.N for key in keys]).pvalue
+        assert pvalue > 0.001
 
 
 class TestQuietLine:

@@ -32,25 +32,25 @@ VARIANTS = {
 }
 
 SESSION_DIGESTS = {
-    ("none", 1): "bdcd1c985504ad10c805e2cda837cfbe6e70bbe0d5760db98e0dfc2fe63aca13",
-    ("none", 8): "0513a64e7ebb05031745786fb3e60edc03efdb746ade2c69a4400429e7e400a8",
-    ("ir", 1): "90733e0659a59eea1c9a71c9c2ef01326a6c865e8cbf68f41c1af476e9a950f4",
-    ("ir", 8): "92e73fcc166ff8425c0691fe49e400153fde6f2bd3e35f7e0e2955669caf9f1b",
-    ("opt", 1): "8061f0b8abea52dd082ee17e6d4edee1ca41d85d3e1875c2cae081512f844cb6",
-    ("opt", 8): "f7ed0d0263deaa937cacffaddef15334084ab34d8090c21d9074188335b007df",
-    ("bs-ir", 1): "29e076532e23320fc24bb2a2b9688d7aeb8404e8a4489b50880dfb0aa11fb6f8",
-    ("bs-ir", 8): "41cb540b978c67c17e1be2b3510e24bb0b929b1be96b87126bf28e93be982fa9",
-    ("bs-ir-majority", 1): "a96ae8ca533b4a66c4a7060074982dc6d5bff9c3466bc9ddbbb6221e467cd2e5",
-    ("bs-ir-majority", 8): "69405184c80f95a7196041d50524221393d6ce9fd0bb3a58c036bd668ab7c723",
-    ("bs-opt", 1): "81c63c9aa89193c622108569e3f3ca4f75506153f5d3df64831d4f5d94acc6ba",
-    ("bs-opt", 8): "89d3e2e12e62e48e164b568d300b814b0679022d806c005fe929d3ab447be839",
-    ("pns", 1): "3695cf1aff927f7d05ee5f6a74bed63b1152f0ed93a46dad52e69a476d344c1a",
-    ("pns", 8): "be05e8250b738006f864c0a7f4e7165c923a0e2065dbdb6daa1d775dd672c4b2",
+    ("none", 1): "b61e3ce6e6c6436cccbcde196e56e53b23a542b975b2ed5f87b9808d034c5f7c",
+    ("none", 8): "890dad09ecc1d5653bda58d2f52edce626eaea76bc49fde7e0ff776e153932eb",
+    ("ir", 1): "3cce914e9119e003f1f7acab123b5b2f91193559c5973d1a3e556ca5122422d8",
+    ("ir", 8): "9c7b2def4c9136fd1c0f63574b6f71df3328039cd4b893ec936a988127b01296",
+    ("opt", 1): "f604f20533c109c1d380e76594ff3e430329517999e4ad19b60b538d5283357e",
+    ("opt", 8): "9311e2abb9f0be94f6e63d52cc5d57820436357874aeac343bf7d930d95dd22b",
+    ("bs-ir", 1): "9dfd1a3d5ac1543b6b37165017c19dbc85509d62d3d9b940d82ddb7ea855d942",
+    ("bs-ir", 8): "9738055f659207a0d5b90c5cb1cbdc853e4b4561b6b8240eb165c71bc24ecf0d",
+    ("bs-ir-majority", 1): "3e8e3d43168f55773753f1ed995bb719f5ffc1a8f0f1f81b52cb7909ad51f87d",
+    ("bs-ir-majority", 8): "8f35bdba85ee196e7eef12f90fd9abf80e239ae8180c56c2b72e6c43a2fbbbd9",
+    ("bs-opt", 1): "7937cb3680e8dfb4c8253f5bde47d1917aef6bf65423f8cf7644193f707df9b4",
+    ("bs-opt", 8): "47243d8e31f911b78254ec3c4e04262ebd041f816ed439d72dd0f2a739917991",
+    ("pns", 1): "fd4f03931bb53c5f45f1450844d1cde99726d0c74a6b593ecde624ac18017acd",
+    ("pns", 8): "6eb77d3a737e7bbe39df46039a385fd3f07d9daa592b4497d6027caee8b57146",
 }
 
 SINGLE_PHOTON_DIGESTS = {
-    "simulate_ir_attack": "ef9fe9ff5a448344c53fac57c3cfba03aca81991ea1f6dde5eeb7c9d5b5bc3f0",
-    "simulate_opt_attack": "5523f63047d2846ecc2827bae60f8ffd4e0f7d91ea3f6a2e6941e4c60fefacaf",
+    "simulate_ir_attack": "ec59d7b2b8dd2e36b1c27ecb5dc1ee6def338fd6a104bedcfa6e70b4accb20fa",
+    "simulate_opt_attack": "10be6f23399df181a7561f4577f7afa8ec89a00b09928f94a885228b03f4fcca",
 }
 
 

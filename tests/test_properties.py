@@ -6,6 +6,7 @@ suite draws the same cases every time.
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,7 +79,10 @@ def test_session_tallies_keep_their_invariants(attack, mu, eta, rule, shards, se
         seed=seed,
         scenario_a_rule=rule,
     )
-    stats = run_sharded(config, shards)
+    assert_tallies_keep_their_invariants(config, run_sharded(config, shards))
+
+
+def assert_tallies_keep_their_invariants(config, stats):
     n = config.n_pulses
     assert stats.n_pulses == n
     assert 0 <= stats.error_count <= stats.sifted_count <= stats.nonempty_count <= n
@@ -91,3 +95,31 @@ def test_session_tallies_keep_their_invariants(attack, mu, eta, rule, shards, se
     if stats.scenario_counts is not None:
         assert sum(stats.scenario_counts.values()) == n
     assert run_sharded(config, 1) == run_session(config)
+
+
+def edge_attacks():
+    yield None
+    yield InterceptResend(eps=1.0)
+    yield OptimalIncoherent(d=0.1)
+    yield Pns(kappa=0.5, d=0.1)
+    for t in (0.0, 1.0):
+        yield BsInterceptResend(t=t, d=0.25)
+        yield BsOptimal(t=t, d=0.1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+@pytest.mark.parametrize("mu", [0.0, 5e-324, 1.0])
+def test_edges_of_the_domain_divide_nothing_by_zero(mu, eta):
+    # At mu = 5e-324, e^(-mu) rounds to 1: a live pulse is all but impossible,
+    # and its tables must still be finite.
+    for attack in edge_attacks():
+        for rule in SCENARIO_A_RULES:
+            config = SessionConfig(
+                optics=OpticalConfig(mu=mu, eta=eta),
+                attack=attack,
+                n_pulses=1 << 12,
+                seed=5,
+                scenario_a_rule=rule,
+            )
+            assert_tallies_keep_their_invariants(config, run_sharded(config, 3))
