@@ -58,6 +58,9 @@ ATTACK_KINDS = ("none", *SWEEP_KINDS)
 
 _VERIFY_TOL = 1e-12
 
+#: Most error rates one ``sweep`` evaluates: it builds one row per step.
+MAX_SWEEP_STEPS = 10**6
+
 #: Parameters that count something; a config file must give them whole numbers.
 _INTEGER_PARAMS = ("pulses", "seed", "shards", "steps")
 
@@ -190,9 +193,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     kind = _CLI_ATTACKS[kind_cli].name
     d_min, d_max = float(params["d-min"]), float(params["d-max"])
     steps = int(params["steps"])
-    if not (0.0 <= d_min < d_max <= 0.5) or steps < 2:
+    if not (0.0 <= d_min < d_max <= 0.5) or not 2 <= steps <= MAX_SWEEP_STEPS:
         print(
-            f"sweep: need 0 <= d-min < d-max <= 0.5 and steps >= 2, "
+            f"sweep: need 0 <= d-min < d-max <= 0.5 and 2 <= steps <= {MAX_SWEEP_STEPS}, "
             f"got d-min={d_min} d-max={d_max} steps={steps}",
             file=sys.stderr,
         )
@@ -421,19 +424,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     mus = np.linspace(0.02, 5.0, 50)
     ts = np.linspace(0.0, 1.0, 50)
-    worst_sum = 0.0
-    worst_series = 0.0
-    for mu in mus:
-        for t in ts:
-            probs = scenario_probs(float(mu), float(t))
-            worst_sum = max(worst_sum, abs(probs.total - 1.0))
-            series = scenario_probs_series(float(mu), float(t))
-            worst_series = max(
-                worst_series,
-                max(abs(a - b) for a, b in zip(probs.as_tuple(), series.as_tuple())),
-            )
-    report("routing-outcome probabilities sum to 1", worst_sum)
-    report("routing-outcome closed forms vs photon-number series", worst_series)
+    closed = [scenario_probs(float(mu), float(t)) for mu in mus for t in ts]
+    series = np.stack(scenario_probs_series(mus[:, None], ts[None, :]).as_tuple(), axis=-1)
+    report(
+        "routing-outcome probabilities sum to 1",
+        max(abs(probs.total - 1.0) for probs in closed),
+    )
+    report(
+        "routing-outcome closed forms vs photon-number series",
+        float(np.max(np.abs(np.array([probs.as_tuple() for probs in closed]) - series.reshape(-1, 4)))),
+    )
 
     worst = 0.0
     for mu in (0.2, 1.0, 3.0):
@@ -500,7 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--eta", type=float)
     p_sweep.add_argument("--d-min", type=float)
     p_sweep.add_argument("--d-max", type=float)
-    p_sweep.add_argument("--steps", type=int)
+    p_sweep.add_argument(
+        "--steps", type=int,
+        help=f"number of error rates, 2 to {MAX_SWEEP_STEPS} (default 100)",
+    )
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_sim = sub.add_parser("simulate", help="Run a Monte Carlo session.")

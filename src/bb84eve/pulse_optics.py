@@ -18,8 +18,11 @@ mass past it is below 1e-15 for every ``mu <= 20``, the validated range
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .domain import check_range
 
@@ -80,6 +83,8 @@ class ScenarioProbs:
     ``both``: at least one photon on each arm (the tap succeeds silently);
     ``eve_only``: the whole pulse is reflected to the tap; ``bob_only``: the
     whole pulse is transmitted; ``empty``: the source emitted no photon.
+    Each is a float, or an array when :func:`scenario_probs_series` is
+    called on arrays.
     """
 
     both: float
@@ -120,30 +125,46 @@ def scenario_probs(mu: float, t: float) -> ScenarioProbs:
     )
 
 
-def scenario_probs_series(
-    mu: float, t: float, n_max: int = SERIES_CUTOFF
-) -> ScenarioProbs:
+@functools.lru_cache(maxsize=None)
+def _photon_numbers(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The photon numbers ``1..n_max`` as floats and their ``lgamma(n + 1)`` row."""
+    n = np.arange(1, n_max + 1, dtype=float)
+    log_factorial = np.array([math.lgamma(k + 1) for k in range(1, n_max + 1)])
+    n.flags.writeable = log_factorial.flags.writeable = False
+    return n, log_factorial
+
+
+def scenario_probs_series(mu, t, n_max: int = SERIES_CUTOFF) -> ScenarioProbs:
     """Routing-outcome probabilities by direct photon-number enumeration.
 
-    Sums the Poisson weights against exact binomial routing terms up to
-    ``n_max`` photons; serves as the independent oracle for
-    :func:`scenario_probs`.
+    Sums the Poisson weights ``exp(n log mu - mu - lgamma(n + 1))`` against
+    the exact binomial routing terms ``t^n`` (all photons to the receiver)
+    and ``(1-t)^n`` (all to the tap) over ``n = 1..n_max``; serves as the
+    independent oracle for :func:`scenario_probs`.  ``mu`` and ``t`` may be
+    arrays: they broadcast against each other, and each field of the result
+    then holds an array of their common shape.  Scalars give floats.
     """
-    _check_mu_t(mu, t)
-    both = 0.0
-    eve_only = 0.0
-    bob_only = 0.0
-    for n in range(1, n_max + 1):
-        p_n = poisson_pmf(mu, n)
-        all_bob = t**n
-        all_eve = (1.0 - t) ** n
-        bob_only += p_n * all_bob
-        eve_only += p_n * all_eve
-        if n >= 2:
-            both += p_n * (1.0 - all_bob - all_eve)
-    return ScenarioProbs(
-        both=both, eve_only=eve_only, bob_only=bob_only, empty=poisson_pmf(mu, 0)
-    )
+    mu = np.asarray(mu, dtype=float)
+    t = np.asarray(t, dtype=float)
+    for name, values, hi in (("mu", mu, MAX_MEAN_PHOTON_NUMBER), ("t", t, 1.0)):
+        for value in (values.min(), values.max()):
+            check_range(name, float(value), 0.0, hi)
+    n, log_factorial = _photon_numbers(n_max)
+    mu_n = mu[..., None]
+    with np.errstate(divide="ignore"):  # mu = 0: log 0 = -inf, every weight 0
+        log_mu = np.log(mu_n)
+    p_n = np.exp(n * log_mu - mu_n - log_factorial)
+    all_bob = t[..., None] ** n
+    all_eve = (1.0 - t[..., None]) ** n
+    fields = {
+        "both": (p_n[..., 1:] * (1.0 - all_bob[..., 1:] - all_eve[..., 1:])).sum(axis=-1),
+        "eve_only": (p_n * all_eve).sum(axis=-1),
+        "bob_only": (p_n * all_bob).sum(axis=-1),
+        "empty": np.exp(-mu) + np.zeros_like(t),
+    }
+    if fields["empty"].ndim == 0:
+        return ScenarioProbs(**{key: float(value) for key, value in fields.items()})
+    return ScenarioProbs(**fields)
 
 
 def bob_count_pmf_after_splitter(mu: float, t: float, i: int) -> float:

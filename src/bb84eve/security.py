@@ -24,7 +24,6 @@ THRESHOLD_KINDS = tuple(ATTACKS)
 
 _BISECT_LO = 1e-12
 _BISECT_HI = 0.5 - 1e-12
-_BISECT_ITERATIONS = 200
 
 
 def phi(z: float) -> float:
@@ -153,9 +152,12 @@ def crossing_point(
     """Error rate where the parties' information meets the eavesdropper's.
 
     Bisects ``i_ab(d) = i_eve(eve_accuracy_at(kind, d))`` on
-    ``(1e-12, 1/2 - 1e-12)``; both curves are monotone there.  Returns 0 when
-    the eavesdropper's curve already sits at one bit at the lower end, as in
-    the photon-number-splitting total-break region.
+    ``(1e-12, 1/2 - 1e-12)``; both curves are monotone there.  The bisection
+    stops once the midpoint is no longer strictly between the ends: the
+    bracket is then two adjacent floats (at most about 90 halvings of this
+    one), and any further step would return the same midpoint.  Returns 0
+    when the eavesdropper's curve already sits at one bit at the lower end,
+    as in the photon-number-splitting total-break region.
     """
     curve = _attack(kind, mu, eta).guess_at
 
@@ -165,10 +167,11 @@ def crossing_point(
     lo, hi = _BISECT_LO, _BISECT_HI
     if gap(lo) <= 0.0:
         return 0.0
-    for _ in range(_BISECT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if gap(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid

@@ -212,10 +212,11 @@ def verify_unitarity(model: ProbeModel) -> UnitarityReport:
     axx, axy, ayx, ayy = _interaction_entries(model)
     bxx, bxy, byx, byy = _conjugate_entries((axx, axy, ayx, ayy))
 
-    out_x = np.kron(axx, KET_X) + np.kron(axy, KET_Y)
-    out_y = np.kron(ayx, KET_X) + np.kron(ayy, KET_Y)
-    out_u = np.kron(bxx, KET_U) + np.kron(bxy, KET_V)
-    out_v = np.kron(byx, KET_U) + np.kron(byy, KET_V)
+    # Kronecker products of vectors, as flattened outer products.
+    out_x = (np.outer(axx, KET_X) + np.outer(axy, KET_Y)).ravel()
+    out_y = (np.outer(ayx, KET_X) + np.outer(ayy, KET_Y)).ravel()
+    out_u = (np.outer(bxx, KET_U) + np.outer(bxy, KET_V)).ravel()
+    out_v = (np.outer(byx, KET_U) + np.outer(byy, KET_V)).ravel()
 
     inputs = (KET_X, KET_Y, KET_U, KET_V)
     outputs = (out_x, out_y, out_u, out_v)

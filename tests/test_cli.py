@@ -135,6 +135,21 @@ class TestSweepCommand:
         run_cli("sweep", "--strategy", "ir", "--d-min", "0.3", "--d-max", "0.2", expect=2)
         run_cli("sweep", expect=2)
 
+    def test_steps_above_the_cap_are_a_usage_error(self, tmp_path, monkeypatch):
+        from bb84eve import cli
+
+        def no_rows(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(cli, "info_curve_point", no_rows)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"strategy": "ir", "steps": 1e12}))
+        for argv in (["--strategy", "ir", "--steps", "1000001"], ["--config", str(cfg)]):
+            assert cli.main(["sweep", *argv]) == 2
+        result = run_cli("sweep", "--strategy", "ir", "--steps", "1000001", expect=2)
+        assert_one_line_error(result, "steps <= 1000000")
+        assert "1000000" in run_cli("sweep", "--help").stdout.decode()
+
     def test_lossless_bs_ir_sweep_starts_at_zero_information(self):
         raw = run_cli("sweep", "--strategy", "bs-ir", "--mu", "1", "--eta", "1").stdout.decode()
         first = raw.splitlines()[1].split(",")

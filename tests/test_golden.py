@@ -1,19 +1,23 @@
-"""Golden digests of the random stream.
+"""Golden digests of the random stream and of the analysis commands' stdout.
 
-Each digest is the sha256 of a session's (or single-photon run's) statistics
-serialised as sorted JSON.  Any change to draw order, batch layout or shard
-derivation changes them.  Re-pin only in a change that alters the stream on
-purpose, and record why in CHANGES.md.
+Each stream digest is the sha256 of a session's (or single-photon run's)
+statistics serialised as sorted JSON.  Any change to draw order, batch layout
+or shard derivation changes them.  Each stdout digest is the sha256 of what
+``thresholds``, ``sweep`` or ``verify`` prints.  Re-pin only in a change that
+alters the stream or a printed value on purpose, and record why in CHANGES.md.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 
 import bb84eve as bb
+from bb84eve import cli
 from bb84eve.engine import SessionConfig, run_sharded
 from bb84eve.pulse_optics import OpticalConfig
 
@@ -87,3 +91,45 @@ def test_session_digest(variant, shards):
 @pytest.mark.parametrize("name", sorted(SINGLE_PHOTON_DIGESTS))
 def test_single_photon_digest(name):
     assert single_photon_digest(name) == SINGLE_PHOTON_DIGESTS[name]
+
+
+# Stdout of the analysis commands: closed forms, information curves and the
+# self-check.  These draw no random numbers, so they move only when a value
+# they print moves.
+ANALYSIS_DIGESTS = {
+    ("thresholds", 1.0, 0.9): "709a155b9000328bbf4104d73da61b7b571e199aefc963bddff3d3eedc07d01f",
+    ("thresholds", 0.1, 0.5): "413e122f8a3a5029b00e20027361ef2266a236eff4e3222b5350fb638235906f",
+    ("sweep ir", 1.0, 0.9): "a33e086778e3d64bc424e37a2b138a6ad0362337136ba7bef3e8137966b65420",
+    ("sweep ir", 0.1, 0.5): "a33e086778e3d64bc424e37a2b138a6ad0362337136ba7bef3e8137966b65420",
+    ("sweep opt", 1.0, 0.9): "e8300ed99e2e512c3304d67350edc53cb7d2b6c28ac3906a4d375da14f0a5152",
+    ("sweep opt", 0.1, 0.5): "e8300ed99e2e512c3304d67350edc53cb7d2b6c28ac3906a4d375da14f0a5152",
+    ("sweep bs-ir", 1.0, 0.9): "d4171e2fb76f653e985ebeaa496a1b51d0a17eed098876b30d84f6ab6a19b408",
+    ("sweep bs-ir", 0.1, 0.5): "4e72e775e5062ecbb74f9923a28e0dc2ba951440f6dbbbb1647bbfb7e7518964",
+    ("sweep bs-opt", 1.0, 0.9): "2cba9e5919a8d9f96b55500e38f1507f5869f895221db72ddc69177b48c92de4",
+    ("sweep bs-opt", 0.1, 0.5): "edf254d092c5b2f956bca1ff89e93e6b4c2fb6df0093c3c0422ebf3d5260934c",
+    ("sweep pns", 1.0, 0.9): "978563c29eeb2dccd8eaa084cf8148e5dada686ef7f7dfeddde25da9797960f2",
+    ("sweep pns", 0.1, 0.5): "643a2d3c5024019e668beb55dc448c1e34691c78fad7548aad94387d071dda11",
+}
+
+VERIFY_DIGEST = "6d3ca6bb01d47abec94a77010db1d7f895838b4fc179ad33535068c59686d193"
+
+
+def stdout_digest(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command, mu, eta", sorted(ANALYSIS_DIGESTS))
+def test_analysis_stdout_digest(command, mu, eta):
+    if command == "thresholds":
+        argv = ["thresholds", "--format", "json"]
+    else:
+        argv = ["sweep", "--strategy", command.split()[1], "--format", "csv"]
+    argv += ["--mu", str(mu), "--eta", str(eta)]
+    assert stdout_digest(argv) == ANALYSIS_DIGESTS[command, mu, eta]
+
+
+def test_verify_stdout_digest():
+    assert stdout_digest(["verify", "--format", "json"]) == VERIFY_DIGEST

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,11 +78,33 @@ class TestScenarioProbs:
                 assert abs(scenario_probs(float(mu), float(t)).total - 1.0) < 1e-12
 
     def test_matches_series_oracle(self):
-        for mu in np.linspace(0.02, 5.0, 50):
-            for t in np.linspace(0.0, 1.0, 50):
+        mus = np.linspace(0.02, 5.0, 50)
+        ts = np.linspace(0.0, 1.0, 50)
+        grid = scenario_probs_series(mus[:, None], ts[None, :])
+        assert all(field.shape == (50, 50) for field in grid.as_tuple())
+        for i, mu in enumerate(mus):
+            for j, t in enumerate(ts):
                 closed = scenario_probs(float(mu), float(t)).as_tuple()
                 series = scenario_probs_series(float(mu), float(t)).as_tuple()
                 assert max(abs(a - b) for a, b in zip(closed, series)) < 1e-12
+                assert all(type(value) is float for value in series)
+                assert series == tuple(float(field[i, j]) for field in grid.as_tuple())
+
+    @pytest.mark.parametrize("mu", [0.0, 5e-324, 20.0])
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_series_edges_match_the_poisson_weights(self, mu, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            probs = scenario_probs_series(mu, t)
+        live = sum(poisson_pmf(mu, n) for n in range(1, 66))
+        whole, none = (probs.bob_only, probs.eve_only) if t == 1.0 else (probs.eve_only, probs.bob_only)
+        assert probs.both == 0.0 and none == 0.0
+        # numpy's exp and math.exp may round apart: allow a few ulps, and
+        # one unit of the smallest subnormal at mu = 5e-324.
+        assert whole == pytest.approx(live, rel=1e-15, abs=1e-323)
+        assert probs.empty == pytest.approx(poisson_pmf(mu, 0), rel=1e-15, abs=0.0)
+        if mu == 0.0:
+            assert probs.as_tuple() == (0.0, 0.0, 0.0, 1.0)
 
     def test_monte_carlo_classification(self):
         rng = np.random.default_rng(4)
@@ -107,6 +130,9 @@ class TestScenarioProbs:
             scenario_probs(-1.0, 0.5)
         with pytest.raises(ValueError):
             scenario_probs(1.0, 1.5)
+        for mu, t in (([0.5, -1.0], 0.5), (1.0, [0.5, 1.5]), ([1.0, math.nan], 0.5)):
+            with pytest.raises(ValueError):
+                scenario_probs_series(np.array(mu), np.array(t))
 
 
 class TestPostSplitterCounts:

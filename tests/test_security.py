@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bb84eve import security
 from bb84eve.security import (
     THRESHOLD_KINDS,
     crossing_point,
@@ -19,6 +20,31 @@ SQRT2 = math.sqrt(2.0)
 
 IR_THRESHOLD = 1.0 / (2.0 * (1.0 + SQRT2))      # 0.20710678118654754
 OPT_THRESHOLD = (2.0 - SQRT2) / 4.0             # 0.14644660940672624
+
+CROSSING_GRID = [
+    (kind, mu, eta)
+    for kind in THRESHOLD_KINDS
+    for mu in (0.05, 0.3, 1.0, 3.0, 10.0, 20.0)
+    for eta in (0.0, 0.1, 0.5, 0.9, 1.0)
+]
+
+
+def reference_crossing(kind, mu, eta):
+    """Bisection of the information gap for a fixed 200 steps, far past convergence."""
+
+    def gap(d):
+        return i_ab(d) - i_eve(eve_accuracy_at(kind, d, mu, eta))
+
+    lo, hi = 1e-12, 0.5 - 1e-12
+    if gap(lo) <= 0.0:
+        return 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestPhi:
@@ -191,3 +217,18 @@ class TestCrossingPoint:
 
     def test_break_region_reports_boundary(self):
         assert crossing_point("pns", 1.0, 0.2) == 0.0
+
+    def test_early_stop_keeps_the_200_step_values(self, monkeypatch):
+        expected = [reference_crossing(*point) for point in CROSSING_GRID]
+        calls = 0
+
+        def counted_i_ab(d):
+            nonlocal calls
+            calls += 1
+            return i_ab(d)
+
+        monkeypatch.setattr(security, "i_ab", counted_i_ab)
+        for point, want in zip(CROSSING_GRID, expected):
+            calls = 0
+            assert crossing_point(*point) == want, point
+            assert calls <= 100, (point, calls)
