@@ -5,7 +5,9 @@ Every command emits a run manifest (command, resolved parameters, seed, tool
 version, UTC timestamp) as a single JSON line on stderr, and optionally to a
 file via ``--manifest``.  Stdout carries only the requested output, so JSON
 and CSV results are byte-identical across reruns of the same command.
-Parameter precedence is flags, then ``--config`` JSON file, then defaults.
+Parameter precedence is flags, then ``--config`` JSON file, then defaults;
+one table, ``PARAMS``, gives every command's flags, config keys, types and
+defaults.
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
 """
 
@@ -28,12 +30,12 @@ from .engine import (
 )
 from .pulse_attacks import (
     ATTACKS,
-    Attack,
     Pns,
     full_break_transmission,
     kappa_for_channel,
 )
 from .pulse_optics import (
+    MAX_MEAN_PHOTON_NUMBER,
     OpticalConfig,
     bob_count_pmf_after_splitter,
     bob_count_pmf_series,
@@ -61,8 +63,63 @@ _VERIFY_TOL = 1e-12
 #: Most error rates one ``sweep`` evaluates: it builds one row per step.
 MAX_SWEEP_STEPS = 10**6
 
-#: Parameters that count something; a config file must give them whole numbers.
-_INTEGER_PARAMS = ("pulses", "seed", "shards", "steps")
+
+@dataclasses.dataclass(frozen=True)
+class Param:
+    """One command-line parameter: its flag ``--name``, its config key and its value.
+
+    The config key is the name with underscores (``d-min`` reads ``d_min``),
+    as in the ``params`` block every command emits.  A ``None`` default
+    means the parameter may be absent.
+    """
+
+    name: str
+    type: type
+    default: object = None
+    help: str = ""
+    choices: tuple | None = None
+    required: bool = False
+
+    @property
+    def key(self) -> str:
+        return self.name.replace("-", "_")
+
+
+_MU = Param("mu", float, help=f"mean photon number, at most {MAX_MEAN_PHOTON_NUMBER:g}")
+_ETA = Param("eta", float, 1.0, "channel transmission in [0, 1]")
+
+#: Every command's parameters, in the order of its ``params`` block.
+PARAMS: dict[str, tuple[Param, ...]] = {
+    "thresholds": (dataclasses.replace(_MU, required=True), _ETA),
+    "sweep": (
+        Param("strategy", str, None, "attack whose curves to draw", SWEEP_KINDS, required=True),
+        _MU,
+        _ETA,
+        Param("d-min", float, 0.0, "smallest error rate"),
+        Param("d-max", float, 0.25, "largest error rate"),
+        Param("steps", int, 100, f"number of error rates, 2 to {MAX_SWEEP_STEPS}"),
+    ),
+    "simulate": (
+        Param("attack", str, "none", "attack on the line", ATTACK_KINDS),
+        dataclasses.replace(_MU, required=True),
+        _ETA,
+        Param("t", float, help="splitter transmission (bs-* attacks)"),
+        Param("d", float, 0.0, "attack strength / disturbance"),
+        Param("eps", float, 1.0, "intercepted fraction (ir attack)"),
+        Param(
+            "kappa", float,
+            help="single-photon blocking fraction (pns); derived from mu, eta when omitted",
+        ),
+        Param("pulses", int, 100_000, "number of pulses"),
+        Param("seed", int, 0, "seed of the random streams"),
+        Param("shards", int, 1, "independent random streams, at most one per pulse"),
+        Param(
+            "scenario-a-rule", str, "single_result",
+            "how a tapped multi-photon pulse is read (bs-ir attack)", SCENARIO_A_RULES,
+        ),
+    ),
+    "verify": (),
+}
 
 
 def _emit_manifest(command: str, params: dict, seed: int | None, path: str | None) -> None:
@@ -81,39 +138,51 @@ def _emit_manifest(command: str, params: dict, seed: int | None, path: str | Non
             fh.write(line + "\n")
 
 
-def _merge_params(args: argparse.Namespace, names: list[str], defaults: dict) -> dict:
-    """Resolve values by precedence: explicit flag, config file, default.
+def _from_config(param: Param, value: object) -> object:
+    """Convert one config-file value to the parameter's type."""
+    # bool is an int subclass: {"mu": true} must not run as mu = 1.
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"config value {param.key!r} must be a number or a string")
+    kind = "an integer" if param.type is int else "a number"
+    try:
+        if param.type is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError  # int() would truncate it
+        return param.type(value)
+    except (ValueError, OverflowError):
+        raise ValueError(f"config value {param.key!r} must be {kind}, got {value!r}") from None
 
-    Config files (and re-fed manifests) use underscore keys, matching the
-    ``params`` block every command emits.  A key the command does not read
-    is an error, so that a misspelt one cannot silently run the default.
+
+def _merge_params(args: argparse.Namespace, command: str) -> dict:
+    """Resolve the command's parameters by precedence: flag, config file, default.
+
+    Returns them typed, under their config keys.  Config files (and re-fed
+    manifests) use those keys; a ``null`` there counts as absent.  A key the
+    command does not read is an error, so that a misspelt one cannot
+    silently run the default.
     """
     from_file: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
         from_file = loaded.get("params", loaded) if isinstance(loaded, dict) else None
         if not isinstance(from_file, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
+    params = PARAMS[command]
     merged = {}
-    for name in names:
-        key = name.replace("-", "_")
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[name] = flag
-        elif key in from_file:
-            value = from_file[key]
-            # bool is an int subclass: {"mu": true} must not run as mu = 1.
-            if isinstance(value, bool) or not isinstance(value, (str, int, float, type(None))):
-                raise ValueError(f"config value {key!r} must be a number or a string")
-            if name in _INTEGER_PARAMS and isinstance(value, float) and not value.is_integer():
-                raise ValueError(f"config value {key!r} must be an integer, got {value!r}")
-            merged[name] = value
-        else:
-            merged[name] = defaults.get(name)
-    unknown = sorted(set(from_file) - {name.replace("-", "_") for name in names})
+    for param in params:
+        value = getattr(args, param.key)
+        if value is None and from_file.get(param.key) is not None:
+            value = _from_config(param, from_file[param.key])
+        merged[param.key] = param.default if value is None else value
+    unknown = sorted(set(from_file) - set(merged))
     if unknown:
         raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
+    for param in params:
+        value = merged[param.key]
+        if value is None and param.required:
+            raise ValueError(f"--{param.name} is required")
+        if param.choices and value not in param.choices:
+            raise ValueError(f"unknown {param.key} {value!r}")
     return merged
 
 
@@ -133,24 +202,21 @@ def _json_document(payload: dict) -> str:
 
 
 def _cmd_thresholds(args: argparse.Namespace) -> int:
-    params = _merge_params(args, ["mu", "eta"], {"eta": 1.0})
-    if params["mu"] is None:
-        print("thresholds: --mu is required", file=sys.stderr)
-        return 2
-    mu, eta = float(params["mu"]), float(params["eta"])
+    params = _merge_params(args, "thresholds")
+    mu, eta = params["mu"], params["eta"]
     rows = []
     for kind in THRESHOLD_KINDS:
         res = threshold(kind, mu, eta)
         rows.append((kind, res.max_d_ab, res.break_possible))
     break_flag = any(flag for _, _, flag in rows)
     eta_star = full_break_transmission(mu)
-    _emit_manifest("thresholds", {"mu": mu, "eta": eta}, None, args.manifest)
+    _emit_manifest("thresholds", params, None, args.manifest)
 
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": "thresholds",
-            "params": {"mu": mu, "eta": eta},
+            "params": params,
             "thresholds": {kind: value for kind, value, _ in rows},
             "eta_star": eta_star,
             "break_possible": break_flag,
@@ -178,54 +244,25 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    params = _merge_params(
-        args,
-        ["strategy", "mu", "eta", "d-min", "d-max", "steps"],
-        {"eta": 1.0, "d-min": 0.0, "d-max": 0.25, "steps": 100},
-    )
-    kind_cli = params["strategy"]
-    if kind_cli is None:
-        print("sweep: --strategy is required", file=sys.stderr)
-        return 2
-    if kind_cli not in _CLI_ATTACKS:
-        print(f"sweep: unknown strategy {kind_cli!r}", file=sys.stderr)
-        return 2
-    kind = _CLI_ATTACKS[kind_cli].name
-    d_min, d_max = float(params["d-min"]), float(params["d-max"])
-    steps = int(params["steps"])
+    params = _merge_params(args, "sweep")
+    d_min, d_max, steps = params["d_min"], params["d_max"], params["steps"]
     if not (0.0 <= d_min < d_max <= 0.5) or not 2 <= steps <= MAX_SWEEP_STEPS:
-        print(
-            f"sweep: need 0 <= d-min < d-max <= 0.5 and 2 <= steps <= {MAX_SWEEP_STEPS}, "
-            f"got d-min={d_min} d-max={d_max} steps={steps}",
-            file=sys.stderr,
+        raise ValueError(
+            f"need 0 <= d-min < d-max <= 0.5 and 2 <= steps <= {MAX_SWEEP_STEPS}, "
+            f"got d-min={d_min} d-max={d_max} steps={steps}"
         )
-        return 2
-    mu = float(params["mu"]) if params["mu"] is not None else None
-    eta = float(params["eta"]) if params["eta"] is not None else None
-
+    kind = _CLI_ATTACKS[params["strategy"]].name
     rows = [
-        info_curve_point(kind, float(d), mu, eta)
+        info_curve_point(kind, float(d), params["mu"], params["eta"])
         for d in np.linspace(d_min, d_max, steps)
     ]
 
-    _emit_manifest(
-        "sweep",
-        {"strategy": kind_cli, "mu": mu, "eta": eta, "d_min": d_min, "d_max": d_max, "steps": steps},
-        None,
-        args.manifest,
-    )
+    _emit_manifest("sweep", params, None, args.manifest)
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": "sweep",
-            "params": {
-                "strategy": kind_cli,
-                "mu": mu,
-                "eta": eta,
-                "d_min": d_min,
-                "d_max": d_max,
-                "steps": steps,
-            },
+            "params": params,
             "rows": [
                 {
                     "d_ab": p.d_ab,
@@ -248,45 +285,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 # ------------------------------------------------------------------ simulate
-
-
-_SIM_PARAM_NAMES = [
-    "attack", "mu", "eta", "t", "d", "eps", "kappa",
-    "pulses", "seed", "shards", "scenario-a-rule",
-]
-_SIM_DEFAULTS = {
-    "attack": "none",
-    "eta": 1.0,
-    "d": 0.0,
-    "eps": 1.0,
-    "pulses": 100_000,
-    "seed": 0,
-    "shards": 1,
-    "scenario-a-rule": "single_result",
-}
-
-
-def _build_attack(kind: str, params: dict) -> Attack | None:
-    """Build the attack and record its resolved parameters (a derived kappa) in ``params``.
-
-    A PNS blocking fraction matched to the line is capped at 1; when the cap
-    bites (the total-break region, eta below eta*), one line on stderr says so.
-    """
-    if kind == "none":
-        return None
-    cls = _CLI_ATTACKS[kind]
-    mu, eta = float(params["mu"]), float(params["eta"])
-    attack = cls.from_params(params, mu, eta)
-    if cls is Pns and params.get("kappa") is None:
-        calibrated = kappa_for_channel(mu, eta).kappa
-        if calibrated > attack.kappa:
-            print(
-                f"simulate: calibrated kappa {calibrated:.6g} clamped to 1: eta={eta:g} is "
-                f"below eta*={full_break_transmission(mu):.6g}, a total break",
-                file=sys.stderr,
-            )
-    params.update(dataclasses.asdict(attack))
-    return attack
 
 
 def _format_check(stats, expected: dict) -> list[dict]:
@@ -319,44 +317,32 @@ def _format_check(stats, expected: dict) -> list[dict]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    params = _merge_params(args, _SIM_PARAM_NAMES, _SIM_DEFAULTS)
-    if params["mu"] is None:
-        print("simulate: --mu is required", file=sys.stderr)
-        return 2
-    kind = params["attack"]
-    if kind not in ATTACK_KINDS:
-        print(f"simulate: unknown attack {kind!r}", file=sys.stderr)
-        return 2
-    try:
-        attack = _build_attack(kind, params)
-        config = SessionConfig(
-            optics=OpticalConfig(mu=float(params["mu"]), eta=float(params["eta"])),
-            attack=attack,
-            n_pulses=int(params["pulses"]),
-            seed=int(params["seed"]),
-            scenario_a_rule=str(params["scenario-a-rule"]),
-        )
-        n_shards = int(params["shards"])
-        if not 1 <= n_shards <= config.n_pulses:
-            raise ValueError(f"shards must be in [1, pulses={config.n_pulses}], got {n_shards}")
-    except (ValueError, TypeError) as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return 2
-
-    resolved = {
-        "attack": kind,
-        "mu": config.optics.mu,
-        "eta": config.optics.eta,
-        "t": params["t"],
-        "d": params["d"],
-        "eps": params["eps"],
-        "kappa": params["kappa"],
-        "pulses": config.n_pulses,
-        "seed": config.seed,
-        "shards": n_shards,
-        "scenario_a_rule": config.scenario_a_rule,
-    }
-    _emit_manifest("simulate", resolved, config.seed, args.manifest)
+    params = _merge_params(args, "simulate")
+    kind, mu, eta = params["attack"], params["mu"], params["eta"]
+    attack = None if kind == "none" else _CLI_ATTACKS[kind].from_params(params, mu, eta)
+    config = SessionConfig(
+        optics=OpticalConfig(mu=mu, eta=eta),
+        attack=attack,
+        n_pulses=params["pulses"],
+        seed=params["seed"],
+        scenario_a_rule=params["scenario_a_rule"],
+    )
+    n_shards = params["shards"]
+    if not 1 <= n_shards <= config.n_pulses:
+        raise ValueError(f"shards must be in [1, pulses={config.n_pulses}], got {n_shards}")
+    if attack is not None:
+        # A PNS blocking fraction matched to the line is capped at 1; when the
+        # cap bites (the total-break region, eta below eta*), say so on stderr.
+        if isinstance(attack, Pns) and params["kappa"] is None:
+            calibrated = kappa_for_channel(mu, eta).kappa
+            if calibrated > attack.kappa:
+                print(
+                    f"simulate: calibrated kappa {calibrated:.6g} clamped to 1: eta={eta:g} is "
+                    f"below eta*={full_break_transmission(mu):.6g}, a total break",
+                    file=sys.stderr,
+                )
+        params.update(dataclasses.asdict(attack))  # record a derived kappa
+    _emit_manifest("simulate", params, config.seed, args.manifest)
 
     stats = run_sharded(config, n_shards)
     checks = _format_check(stats, analytic_expectations(config)) if args.check else None
@@ -365,7 +351,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": "simulate",
-            "params": resolved,
+            "params": params,
             "stats": stats.to_dict(),
         }
         if checks is not None:
@@ -397,7 +383,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _merge_params(args, [], {})  # verify reads no parameter: any config key is unknown
+    _merge_params(args, "verify")  # verify reads no parameter: any config key is unknown
     rng = np.random.default_rng(20240814)
     failures = 0
     checks: list[dict] = []
@@ -481,6 +467,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- main
 
 
+#: Each command's handler, one-line help and output formats (the first is the default).
+_COMMANDS = {
+    "thresholds": (
+        _cmd_thresholds, "Tolerable error rates for all strategies.", ("table", "json", "csv"),
+    ),
+    "sweep": (_cmd_sweep, "Information curves vs observed error rate (CSV).", ("csv", "json")),
+    "simulate": (_cmd_simulate, "Run a Monte Carlo session.", ("text", "json")),
+    "verify": (_cmd_verify, "Self-check unitarity and series identities.", ("text", "json")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bb84eve",
@@ -489,46 +486,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bb84eve {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_thr = sub.add_parser("thresholds", help="Tolerable error rates for all strategies.")
-    p_thr.add_argument("--mu", type=float, help="mean photon number (> 0)")
-    p_thr.add_argument("--eta", type=float, help="channel transmission in [0, 1] (default 1)")
-    p_thr.add_argument("--format", choices=("table", "json", "csv"), default="table")
-
-    p_sweep = sub.add_parser("sweep", help="Information curves vs observed error rate (CSV).")
-    p_sweep.add_argument("--strategy", choices=SWEEP_KINDS)
-    p_sweep.add_argument("--mu", type=float)
-    p_sweep.add_argument("--eta", type=float)
-    p_sweep.add_argument("--d-min", type=float)
-    p_sweep.add_argument("--d-max", type=float)
-    p_sweep.add_argument(
-        "--steps", type=int,
-        help=f"number of error rates, 2 to {MAX_SWEEP_STEPS} (default 100)",
-    )
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p_sim = sub.add_parser("simulate", help="Run a Monte Carlo session.")
-    p_sim.add_argument("--attack", choices=ATTACK_KINDS)
-    p_sim.add_argument("--mu", type=float)
-    p_sim.add_argument("--eta", type=float)
-    p_sim.add_argument("--t", type=float, help="splitter transmission (bs-* attacks)")
-    p_sim.add_argument("--d", type=float, help="attack strength / disturbance")
-    p_sim.add_argument("--eps", type=float, help="intercepted fraction (ir attack)")
-    p_sim.add_argument(
-        "--kappa", type=float,
-        help="single-photon blocking fraction (pns); derived from mu, eta when omitted",
-    )
-    p_sim.add_argument("--pulses", type=int)
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--shards", type=int)
-    p_sim.add_argument("--scenario-a-rule", choices=SCENARIO_A_RULES)
-    p_sim.add_argument("--check", action="store_true",
-                       help="also print analytic predictions and sigma distances")
-    p_sim.add_argument("--format", choices=("text", "json"), default="text")
-
-    p_ver = sub.add_parser("verify", help="Self-check unitarity and series identities.")
-    p_ver.add_argument("--format", choices=("text", "json"), default="text")
-
-    for p in (p_thr, p_sweep, p_sim, p_ver):
+    for command, (_, summary, formats) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for param in PARAMS[command]:
+            note = "" if param.default is None else f" (default {param.default})"
+            p.add_argument(
+                f"--{param.name}", type=param.type, choices=param.choices,
+                help=param.help + (" (required)" if param.required else note),
+            )
+        if command == "simulate":
+            p.add_argument("--check", action="store_true",
+                           help="also print analytic predictions and sigma distances")
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--config", help="JSON file with default parameter values")
         p.add_argument("--output", help="write the result here instead of stdout")
         p.add_argument("--manifest", help="also write the run manifest to this file")
@@ -536,18 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "thresholds": _cmd_thresholds,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

@@ -215,6 +215,5 @@ def coincidence_prob_series(
     em = eta * mu
     total = 0.0
     for n in range(2, n_max + 1):
-        split_terms = sum(math.comb(n, i) for i in range(1, n)) * 2.0 ** (-n)
-        total += poisson_pmf(em, n) * split_terms
+        total += poisson_pmf(em, n) * (1.0 - 2.0 ** (1 - n))
     return 0.5 * total

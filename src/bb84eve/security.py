@@ -104,14 +104,19 @@ def info_curve_point(
 
 
 def _attack(kind: str, mu: float | None, eta: float | None) -> type[Attack]:
-    """Look ``kind`` up in the attack table and check the line it needs."""
+    """Look ``kind`` up in the attack table and check the line it is given.
+
+    ``mu`` and ``eta`` are checked whenever they are given, so every kind
+    shares one domain; the kinds that use the line also require them.
+    """
     if kind not in ATTACKS:
         raise ValueError(f"kind must be one of {THRESHOLD_KINDS}, got {kind!r}")
     attack = ATTACKS[kind]
-    if attack.uses_channel:
-        if mu is None or eta is None:
-            raise ValueError(f"kind {kind!r} requires mu and eta")
+    if attack.uses_channel and (mu is None or eta is None):
+        raise ValueError(f"kind {kind!r} requires mu and eta")
+    if mu is not None:
         check_range("mu", mu, 0.0, MAX_MEAN_PHOTON_NUMBER, open_lo=True)
+    if eta is not None:
         check_range("eta", eta, 0.0, 1.0)
     return attack
 

@@ -150,6 +150,13 @@ class TestSweepCommand:
         assert_one_line_error(result, "steps <= 1000000")
         assert "1000000" in run_cli("sweep", "--help").stdout.decode()
 
+    def test_single_photon_kinds_check_the_line_too(self):
+        for args, text in ((("--mu", "50", "--eta", "0.9"), "mu must be finite and in (0, 20]"),
+                           (("--mu", "1", "--eta", "7"), "eta must be finite and in [0, 1]")):
+            for kind in ("ir", "opt"):
+                result = run_cli("sweep", "--strategy", kind, *args, expect=2)
+                assert_one_line_error(result, text)
+
     def test_lossless_bs_ir_sweep_starts_at_zero_information(self):
         raw = run_cli("sweep", "--strategy", "bs-ir", "--mu", "1", "--eta", "1").stdout.decode()
         first = raw.splitlines()[1].split(",")
@@ -329,6 +336,36 @@ class TestSimulateCommand:
         cfg.write_text(json.dumps({**params, "pulsess": 5}))
         result = run_cli(command, "--config", str(cfg), expect=2)
         assert_one_line_error(result, f"{command}: unknown config key 'pulsess'")
+
+    @pytest.mark.parametrize("command, config, default", [
+        ("thresholds", {"mu": 1, "eta": None}, {"eta": 1.0}),
+        ("sweep", {"strategy": "ir", "d_min": None}, {"d_min": 0.0}),
+        ("sweep", {"strategy": "ir", "steps": None}, {"steps": 100}),
+        ("sweep", {"strategy": "ir", "mu": None}, {"mu": None}),
+        ("simulate", {"mu": 0.1, "pulses": 1000, "seed": None, "kappa": None}, {"seed": 0}),
+    ])
+    def test_config_null_runs_the_default(self, tmp_path, command, config, default):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        doc = json.loads(run_cli(command, "--config", str(cfg), "--format", "json").stdout)
+        for key, value in default.items():
+            assert doc["params"][key] == value
+
+    @pytest.mark.parametrize("command, config, flag", [
+        ("thresholds", {"mu": None, "eta": 0.9}, "--mu"),
+        ("sweep", {"strategy": None, "mu": 1}, "--strategy"),
+        ("simulate", {"mu": None}, "--mu"),
+    ])
+    def test_config_null_for_a_required_value_is_a_usage_error(self, tmp_path, command, config, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = run_cli(command, "--config", str(cfg), expect=2)
+        assert_one_line_error(result, f"{command}: {flag} is required")
+
+    def test_help_lists_every_default(self):
+        text = " ".join(run_cli("simulate", "--help").stdout.decode().split())
+        for default in ("none", "1.0", "0.0", "100000", "single_result"):
+            assert f"(default {default})" in text
 
     def test_more_shards_than_pulses_is_a_usage_error(self):
         result = run_cli("simulate", "--mu", "1", "--pulses", "4", "--shards", "5", expect=2)

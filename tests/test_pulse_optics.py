@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from bb84eve.pulse_optics import (
+    SERIES_CUTOFF,
     OpticalConfig,
     bob_count_pmf_after_splitter,
     bob_count_pmf_series,
@@ -203,6 +204,20 @@ class TestCoincidence:
                     coincidence_prob(eta, float(mu))
                     - coincidence_prob_series(eta, float(mu))
                 ) < 1e-12
+
+    def test_series_equals_the_binomial_double_sum(self):
+        # The inner sum over routings written out, as the reference; the outer
+        # loop adds in the same order as the oracle, so the two agree exactly.
+        def double_sum(eta, mu):
+            total = 0.0
+            for n in range(2, SERIES_CUTOFF + 1):
+                routed = sum(math.comb(n, i) for i in range(1, n)) * 2.0 ** (-n)
+                total += poisson_pmf(eta * mu, n) * routed
+            return 0.5 * total
+
+        for eta in (0.3, 0.9, 1.0):
+            for mu in np.linspace(0.1, 20.0, 25):
+                assert coincidence_prob_series(eta, float(mu)) == double_sum(eta, float(mu))
 
     def test_range_errors(self):
         with pytest.raises(ValueError):

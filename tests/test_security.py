@@ -189,6 +189,20 @@ class TestThresholds:
                 call()
         assert threshold("pns", 20.0, 0.9).max_d_ab >= 0.0
 
+    @pytest.mark.parametrize("kind", THRESHOLD_KINDS)
+    def test_every_kind_checks_the_line_it_is_given(self, kind):
+        # ir and opt do not use the line, but a given mu or eta has one domain everywhere.
+        for mu, eta, name in ((50.0, 0.9, "mu"), (0.0, 0.9, "mu"), (float("nan"), 0.9, "mu"),
+                              (1.0, 7.0, "eta"), (1.0, -0.1, "eta")):
+            for call in (lambda: threshold(kind, mu, eta),
+                         lambda: info_curve_point(kind, 0.1, mu, eta),
+                         lambda: crossing_point(kind, mu, eta)):
+                with pytest.raises(ValueError, match=f"{name} must be finite and in"):
+                    call()
+        if kind in ("ir", "opt"):
+            assert threshold(kind, 1.0, 0.9) == threshold(kind)
+            assert info_curve_point(kind, 0.1, None, 0.9) == info_curve_point(kind, 0.1)
+
     def test_requires_parameters_for_pulsed_kinds(self):
         with pytest.raises(ValueError):
             threshold("bs_ir")
