@@ -22,6 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+from .domain import D, D_IR, MU, UNIT, Interval
 from .engine import (
     SCENARIO_A_RULES,
     SessionConfig,
@@ -35,7 +36,6 @@ from .pulse_attacks import (
     kappa_for_channel,
 )
 from .pulse_optics import (
-    MAX_MEAN_PHOTON_NUMBER,
     OpticalConfig,
     bob_count_pmf_after_splitter,
     bob_count_pmf_series,
@@ -70,7 +70,8 @@ class Param:
 
     The config key is the name with underscores (``d-min`` reads ``d_min``),
     as in the ``params`` block every command emits.  A ``None`` default
-    means the parameter may be absent.
+    means the parameter may be absent.  A given value must lie in
+    ``domain``, which ``--help`` prints.
     """
 
     name: str
@@ -79,14 +80,15 @@ class Param:
     help: str = ""
     choices: tuple | None = None
     required: bool = False
+    domain: Interval | None = None
 
     @property
     def key(self) -> str:
         return self.name.replace("-", "_")
 
 
-_MU = Param("mu", float, help=f"mean photon number, at most {MAX_MEAN_PHOTON_NUMBER:g}")
-_ETA = Param("eta", float, 1.0, "channel transmission in [0, 1]")
+_MU = Param("mu", float, help="mean photon number", domain=MU)
+_ETA = Param("eta", float, 1.0, "channel transmission", domain=UNIT)
 
 #: Every command's parameters, in the order of its ``params`` block.
 PARAMS: dict[str, tuple[Param, ...]] = {
@@ -95,20 +97,20 @@ PARAMS: dict[str, tuple[Param, ...]] = {
         Param("strategy", str, None, "attack whose curves to draw", SWEEP_KINDS, required=True),
         _MU,
         _ETA,
-        Param("d-min", float, 0.0, "smallest error rate"),
-        Param("d-max", float, 0.25, "largest error rate"),
+        Param("d-min", float, 0.0, "smallest error rate", domain=D),
+        Param("d-max", float, 0.25, "largest error rate", domain=D),
         Param("steps", int, 100, f"number of error rates, 2 to {MAX_SWEEP_STEPS}"),
     ),
     "simulate": (
         Param("attack", str, "none", "attack on the line", ATTACK_KINDS),
         dataclasses.replace(_MU, required=True),
         _ETA,
-        Param("t", float, help="splitter transmission (bs-* attacks)"),
-        Param("d", float, 0.0, "attack strength / disturbance"),
-        Param("eps", float, 1.0, "intercepted fraction (ir attack)"),
+        Param("t", float, help="splitter transmission (bs-* attacks)", domain=UNIT),
+        Param("d", float, 0.0, f"attack strength / disturbance, {D_IR} for bs-ir, else", domain=D),
+        Param("eps", float, 1.0, "intercepted fraction (ir attack)", domain=UNIT),
         Param(
-            "kappa", float,
-            help="single-photon blocking fraction (pns); derived from mu, eta when omitted",
+            "kappa", float, domain=UNIT,
+            help="single-photon blocking fraction (pns), derived from mu, eta when omitted,",
         ),
         Param("pulses", int, 100_000, "number of pulses"),
         Param("seed", int, 0, "seed of the random streams"),
@@ -183,6 +185,8 @@ def _merge_params(args: argparse.Namespace, command: str) -> dict:
             raise ValueError(f"--{param.name} is required")
         if param.choices and value not in param.choices:
             raise ValueError(f"unknown {param.key} {value!r}")
+        if param.domain and value is not None:
+            param.domain.check(param.key, value)
     return merged
 
 
@@ -246,9 +250,9 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     params = _merge_params(args, "sweep")
     d_min, d_max, steps = params["d_min"], params["d_max"], params["steps"]
-    if not (0.0 <= d_min < d_max <= 0.5) or not 2 <= steps <= MAX_SWEEP_STEPS:
+    if not d_min < d_max or not 2 <= steps <= MAX_SWEEP_STEPS:
         raise ValueError(
-            f"need 0 <= d-min < d-max <= 0.5 and 2 <= steps <= {MAX_SWEEP_STEPS}, "
+            f"need d-min < d-max and 2 <= steps <= {MAX_SWEEP_STEPS}, "
             f"got d-min={d_min} d-max={d_max} steps={steps}"
         )
     kind = _CLI_ATTACKS[params["strategy"]].name
@@ -490,9 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=summary)
         for param in PARAMS[command]:
             note = "" if param.default is None else f" (default {param.default})"
+            domain = f" in {param.domain}" if param.domain else ""
             p.add_argument(
                 f"--{param.name}", type=param.type, choices=param.choices,
-                help=param.help + (" (required)" if param.required else note),
+                help=param.help + domain + (" (required)" if param.required else note),
             )
         if command == "simulate":
             p.add_argument("--check", action="store_true",

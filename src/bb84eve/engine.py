@@ -98,7 +98,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import check_range
+from .domain import MEAN, UNIT
 from .pulse_attacks import (
     SCENARIO_A_RULES,
     Attack,
@@ -109,7 +109,7 @@ from .pulse_attacks import (
     Pns,
     line_expectations,
 )
-from .pulse_optics import MAX_MEAN_PHOTON_NUMBER, OpticalConfig
+from .pulse_optics import OpticalConfig
 from .single_photon import opt_guess_prob
 from .states import BREIDBART_M0, BREIDBART_RESEND_BIT1
 
@@ -336,7 +336,7 @@ def _poisson_table(mean: float) -> _Table:
 
     Entry ``n`` is P(N <= n); see :func:`_cumulative`.
     """
-    check_range("mean", mean, 0.0, MAX_MEAN_PHOTON_NUMBER)
+    MEAN.check("mean", mean)
     return _cumulative(math.exp(-mean) * _series(mean, 1.0, 1, _TABLE_TERMS))
 
 
@@ -354,8 +354,8 @@ def _live_table(mean: float, share: float) -> _Table:
     the law tends to one photon, in the share with probability ``share``.
     ``share = 1`` gives the zero-truncated Poisson(``mean``).
     """
-    check_range("mean", mean, 0.0, MAX_MEAN_PHOTON_NUMBER)
-    check_range("share", share, 0.0, 1.0)
+    MEAN.check("mean", mean)
+    UNIT.check("share", share)
     x = mean * share
     pmf = np.empty(_TABLE_TERMS)
     pmf[0] = (1.0 - share) * _expm1_ratio(mean * (1.0 - share))

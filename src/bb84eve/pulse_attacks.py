@@ -23,14 +23,14 @@ PRL 85, 1330 (2000).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .domain import check_range
+from .domain import D, D_IR, MU, UNIT, Interval
 from .pulse_optics import (
-    MAX_MEAN_PHOTON_NUMBER,
     SERIES_CUTOFF,
     coincidence_prob,
     poisson_pmf,
@@ -58,7 +58,7 @@ class AttackPrediction:
         # rounding slack: the closed forms can land an ulp outside the range
         if not 0.5 - 1e-12 <= self.guess_prob <= 1.0 + 1e-12:
             raise ValueError(f"guess_prob must be in [1/2, 1], got {self.guess_prob!r}")
-        check_range("d_ab", self.d_ab, 0.0, 0.5)
+        D.check("d_ab", self.d_ab)
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class Attack:
 
     - ``name``: the canonical spelling, used in Python and in JSON keys
       (``bs_ir``; the command line writes ``bs-ir``);
-    - ``limits``: the closed interval each parameter must lie in;
+    - ``limits``: the interval each parameter must lie in;
     - ``guess_at(d_ab, mu, eta)``: the eavesdropper's guess probability
       against the observed error rate, with the attack strength and any
       tap or blocking matched to a line of transmission ``eta``.  It is the
@@ -110,12 +110,12 @@ class Attack:
     """
 
     name: ClassVar[str]
-    limits: ClassVar[dict[str, tuple[float, float]]]
+    limits: ClassVar[dict[str, Interval]]
     uses_channel: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
-        for key, (lo, hi) in self.limits.items():
-            check_range(key, getattr(self, key), lo, hi)
+        for key, domain in self.limits.items():
+            domain.check(key, getattr(self, key))
 
     @classmethod
     def from_params(cls, params: Mapping, mu: float, eta: float) -> Attack:
@@ -136,7 +136,7 @@ class InterceptResend(Attack):
     eps: float
 
     name: ClassVar[str] = "ir"
-    limits: ClassVar = {"eps": (0.0, 1.0)}
+    limits: ClassVar = {"eps": UNIT}
     uses_channel: ClassVar[bool] = False
 
     @staticmethod
@@ -169,7 +169,7 @@ class OptimalIncoherent(Attack):
     d: float
 
     name: ClassVar[str] = "opt"
-    limits: ClassVar = {"d": (0.0, 0.5)}
+    limits: ClassVar = {"d": D}
     uses_channel: ClassVar[bool] = False
 
     @staticmethod
@@ -221,7 +221,7 @@ class BsInterceptResend(_SplitterAttack):
     """
 
     name: ClassVar[str] = "bs_ir"
-    limits: ClassVar = {"t": (0.0, 1.0), "d": (0.0, 0.25)}
+    limits: ClassVar = {"t": UNIT, "d": D_IR}
 
     @staticmethod
     def guess_at(d_ab: float, mu: float, eta: float) -> float:
@@ -236,7 +236,7 @@ class BsInterceptResend(_SplitterAttack):
         return ThresholdResult((2.0 - SQRT2 * (1.0 - dilution)) / (4.0 * (1.0 + SQRT2)))
 
     def predict(self, mu: float) -> AttackPrediction:
-        check_range("mu", mu, 0.0, MAX_MEAN_PHOTON_NUMBER)
+        MU.check("mu", mu)
         d_ab = self.d * math.exp(-mu * (1.0 - self.t))
         return AttackPrediction(guess_prob=self.guess_at(d_ab, mu, self.t), d_ab=d_ab)
 
@@ -274,7 +274,7 @@ class BsOptimal(_SplitterAttack):
     """Beam-splitter tap plus probe attack of strength ``d`` on untapped pulses."""
 
     name: ClassVar[str] = "bs_opt"
-    limits: ClassVar = {"t": (0.0, 1.0), "d": (0.0, 0.5)}
+    limits: ClassVar = {"t": UNIT, "d": D}
 
     @staticmethod
     def _guess(dilution: float, d: float) -> float:
@@ -291,7 +291,7 @@ class BsOptimal(_SplitterAttack):
         return ThresholdResult((2.0 - SQRT2) / 4.0 * math.exp(-mu * (1.0 - eta)))
 
     def predict(self, mu: float) -> AttackPrediction:
-        check_range("mu", mu, 0.0, MAX_MEAN_PHOTON_NUMBER)
+        MU.check("mu", mu)
         dilution = math.exp(-mu * (1.0 - self.t))
         return AttackPrediction(guess_prob=self._guess(dilution, self.d), d_ab=self.d * dilution)
 
@@ -308,7 +308,7 @@ class Pns(Attack):
     d: float
 
     name: ClassVar[str] = "pns"
-    limits: ClassVar = {"kappa": (0.0, 1.0), "d": (0.0, 0.5)}
+    limits: ClassVar = {"kappa": UNIT, "d": D}
 
     @classmethod
     def from_params(cls, params: Mapping, mu: float, eta: float) -> Pns:
@@ -346,7 +346,7 @@ class Pns(Attack):
 
     def predict(self, mu: float) -> AttackPrediction:
         """Multi-photon pulses yield the bit without errors; kept singles are probed."""
-        check_range("mu", mu, 0.0, MAX_MEAN_PHOTON_NUMBER, open_lo=True)
+        MU.check("mu", mu)
         p_multi, p_single_kept, denom = self._shares(mu, self.kappa)
         guess = (p_multi + p_single_kept * opt_guess_prob(self.d)) / denom
         return AttackPrediction(guess_prob=guess, d_ab=p_single_kept * self.d / denom)
@@ -416,10 +416,12 @@ class KappaCalibration:
     break_possible: bool
 
 
+# One entry: Pns.guess_at asks on every step of a crossing or sweep at fixed (mu, eta).
+@functools.lru_cache(maxsize=1)
 def kappa_for_channel(mu: float, eta: float) -> KappaCalibration:
     """Blocking fraction ``(e^(mu(1-eta)) - 1)/mu`` that mimics a loss-``eta`` line."""
-    check_range("mu", mu, 0.0, MAX_MEAN_PHOTON_NUMBER, open_lo=True)
-    check_range("eta", eta, 0.0, 1.0)
+    MU.check("mu", mu)
+    UNIT.check("eta", eta)
     kappa = math.expm1(mu * (1.0 - eta)) / mu
     return KappaCalibration(kappa=kappa, break_possible=kappa >= 1.0)
 
@@ -430,5 +432,5 @@ def full_break_transmission(mu: float) -> float:
     At or below this value the calibrated blocking fraction reaches one and
     photon-number splitting yields the entire key with zero induced errors.
     """
-    check_range("mu", mu, 0.0, MAX_MEAN_PHOTON_NUMBER, open_lo=True)
+    MU.check("mu", mu)
     return 1.0 - math.log1p(mu) / mu

@@ -24,17 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import check_range
+from .domain import MEAN, MU, UNIT
 
 #: Largest photon number the series oracles sum to: the first order at which
 #: the Poisson(20) mass past it, 4.0e-16, is below 1e-15.  At 64 it is
 #: still 1.3e-15, and at 60 it was 1.4e-13.
 SERIES_CUTOFF = 65
-
-#: Largest mean photon number any module accepts: the optics, the attack
-#: closed forms, the security bounds and the engine (keeps series tails
-#: below 1e-15).
-MAX_MEAN_PHOTON_NUMBER = 20.0
 
 
 @dataclass(frozen=True)
@@ -49,14 +44,13 @@ class OpticalConfig:
     eta: float = 1.0
 
     def __post_init__(self) -> None:
-        check_range("mu", self.mu, 0.0, MAX_MEAN_PHOTON_NUMBER)
-        check_range("eta", self.eta, 0.0, 1.0)
+        MU.check("mu", self.mu)
+        UNIT.check("eta", self.eta)
 
 
 def poisson_pmf(mu: float, n: int) -> float:
     """Poisson probability ``exp(-mu) mu^n / n!``, evaluated in log space."""
-    if mu < 0.0:
-        raise ValueError(f"mu must be >= 0, got {mu!r}")
+    MEAN.check("mu", mu)
     if n < 0 or n != int(n):
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     n = int(n)
@@ -70,7 +64,7 @@ def split_pmf(n: int, t: float, j: int) -> float:
 
     Binomial mass ``C(n, j) t^j (1-t)^(n-j)``; photons route independently.
     """
-    check_range("t", t, 0.0, 1.0)
+    UNIT.check("t", t)
     if not 0 <= j <= n:
         raise ValueError(f"j must be in [0, n], got j={j!r}, n={n!r}")
     return float(math.comb(n, j)) * t**j * (1.0 - t) ** (n - j)
@@ -100,11 +94,6 @@ class ScenarioProbs:
         return self.both + self.eve_only + self.bob_only + self.empty
 
 
-def _check_mu_t(mu: float, t: float, t_name: str = "t") -> None:
-    check_range("mu", mu, 0.0, MAX_MEAN_PHOTON_NUMBER)
-    check_range(t_name, t, 0.0, 1.0)
-
-
 def scenario_probs(mu: float, t: float) -> ScenarioProbs:
     """Closed-form routing-outcome probabilities for mean ``mu``, transmission ``t``.
 
@@ -113,7 +102,8 @@ def scenario_probs(mu: float, t: float) -> ScenarioProbs:
     ``P_bob_only = e^(-mu(1-t)) - e^(-mu)``, ``P_empty = e^(-mu)``.
     The four sum to one; ``P_both`` peaks at ``t = 1/2``.
     """
-    _check_mu_t(mu, t)
+    MEAN.check("mu", mu)
+    UNIT.check("t", t)
     e_mu = math.exp(-mu)
     e_t = math.exp(-mu * t)
     e_r = math.exp(-mu * (1.0 - t))
@@ -146,9 +136,9 @@ def scenario_probs_series(mu, t, n_max: int = SERIES_CUTOFF) -> ScenarioProbs:
     """
     mu = np.asarray(mu, dtype=float)
     t = np.asarray(t, dtype=float)
-    for name, values, hi in (("mu", mu, MAX_MEAN_PHOTON_NUMBER), ("t", t, 1.0)):
+    for name, values, domain in (("mu", mu, MEAN), ("t", t, UNIT)):
         for value in (values.min(), values.max()):
-            check_range(name, float(value), 0.0, hi)
+            domain.check(name, float(value))
     n, log_factorial = _photon_numbers(n_max)
     mu_n = mu[..., None]
     with np.errstate(divide="ignore"):  # mu = 0: log 0 = -inf, every weight 0
@@ -173,7 +163,8 @@ def bob_count_pmf_after_splitter(mu: float, t: float, i: int) -> float:
     Splitting a Poissonian of mean ``mu`` leaves a Poissonian of mean
     ``mu t``: the tap rescales but does not reshape the statistics.
     """
-    _check_mu_t(mu, t)
+    MEAN.check("mu", mu)
+    UNIT.check("t", t)
     return poisson_pmf(mu * t, i)
 
 
@@ -181,7 +172,8 @@ def bob_count_pmf_series(
     mu: float, t: float, i: int, n_max: int = SERIES_CUTOFF
 ) -> float:
     """Receiver-side photon distribution by exact marginalization over the source."""
-    _check_mu_t(mu, t)
+    MEAN.check("mu", mu)
+    UNIT.check("t", t)
     if i < 0:
         raise ValueError(f"i must be >= 0, got {i!r}")
     return sum(
@@ -197,7 +189,8 @@ def coincidence_prob(eta: float, mu: float) -> float:
     ``(1 + e^(-eta mu) - 2 e^(-eta mu / 2)) / 2``, which already includes the
     1/2 chance of choosing the wrong basis.
     """
-    _check_mu_t(mu, eta, "eta")
+    MEAN.check("mu", mu)
+    UNIT.check("eta", eta)
     em = eta * mu
     return 0.5 * (1.0 + math.exp(-em) - 2.0 * math.exp(-em / 2.0))
 
@@ -211,7 +204,8 @@ def coincidence_prob_series(
     ``1 - 2^(1-n)`` (the summed binomial routing terms), weighted by the
     Poissonian of mean ``eta mu`` and the 1/2 wrong-basis probability.
     """
-    _check_mu_t(mu, eta, "eta")
+    MEAN.check("mu", mu)
+    UNIT.check("eta", eta)
     em = eta * mu
     total = 0.0
     for n in range(2, n_max + 1):

@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .domain import check_range
+from .domain import D, MU, P_CORRECT, UNIT, Z
 from .pulse_attacks import ATTACKS, Attack, ThresholdResult
-from .pulse_optics import MAX_MEAN_PHOTON_NUMBER
 
 THRESHOLD_KINDS = tuple(ATTACKS)
 
@@ -31,8 +30,10 @@ def phi(z: float) -> float:
 
     Defined on ``[-1, 1]`` with ``0 log 0 = 0`` by continuity; in bits.
     """
-    if abs(z) > 1.0:
-        raise ValueError(f"z must be in [-1, 1], got {z!r}")
+    # phi, i_ab, i_eve and eve_accuracy_at run on every point of a sweep or
+    # crossing, so they (and feasible) compare inline; check() words the error.
+    if not Z.lo <= z <= Z.hi:
+        Z.check("z", z)
     total = 0.0
     for w in (1.0 - z, 1.0 + z):
         if w > 0.0:
@@ -45,8 +46,8 @@ def i_ab(d: float) -> float:
 
     Binary-symmetric-channel value ``phi(1 - 2d)/2``, i.e. ``1 - H2(d)`` bits.
     """
-    if not 0.0 <= d <= 0.5:
-        raise ValueError(f"d must be in [0, 1/2], got {d!r}")
+    if not D.lo <= d <= D.hi:
+        D.check("d", d)
     return 0.5 * phi(1.0 - 2.0 * d)
 
 
@@ -55,8 +56,8 @@ def i_eve(p_correct: float) -> float:
 
     Her effective flip rate is ``1 - p_correct``, giving ``phi(2 p - 1)/2``.
     """
-    if not 0.5 <= p_correct <= 1.0:
-        raise ValueError(f"p_correct must be in [1/2, 1], got {p_correct!r}")
+    if not P_CORRECT.lo <= p_correct <= P_CORRECT.hi:
+        P_CORRECT.check("p_correct", p_correct)
     return 0.5 * phi(2.0 * p_correct - 1.0)
 
 
@@ -66,10 +67,10 @@ def feasible(d_ab: float, p_correct: float) -> bool:
     Evaluates ``d_ab < 1 - p_correct``, which is equivalent to the information
     inequality ``i_ab(d_ab) > i_eve(p_correct)`` by monotonicity of ``phi``.
     """
-    if not 0.0 <= d_ab <= 0.5:
-        raise ValueError(f"d_ab must be in [0, 1/2], got {d_ab!r}")
-    if not 0.5 <= p_correct <= 1.0:
-        raise ValueError(f"p_correct must be in [1/2, 1], got {p_correct!r}")
+    if not D.lo <= d_ab <= D.hi:
+        D.check("d_ab", d_ab)
+    if not P_CORRECT.lo <= p_correct <= P_CORRECT.hi:
+        P_CORRECT.check("p_correct", p_correct)
     return d_ab < 1.0 - p_correct
 
 
@@ -96,11 +97,9 @@ def info_curve_point(
     kind: str, d_ab: float, mu: float | None = None, eta: float | None = None
 ) -> InfoCurvePoint:
     """Evaluate both information curves for ``kind`` at one error rate."""
-    return InfoCurvePoint(
-        d_ab=d_ab,
-        i_ab_bits=i_ab(d_ab),
-        i_ae_bits=i_eve(eve_accuracy_at(kind, d_ab, mu, eta)),
-    )
+    # eve_accuracy_at runs first, so that an error names d_ab
+    i_ae_bits = i_eve(eve_accuracy_at(kind, d_ab, mu, eta))
+    return InfoCurvePoint(d_ab=d_ab, i_ab_bits=i_ab(d_ab), i_ae_bits=i_ae_bits)
 
 
 def _attack(kind: str, mu: float | None, eta: float | None) -> type[Attack]:
@@ -115,9 +114,9 @@ def _attack(kind: str, mu: float | None, eta: float | None) -> type[Attack]:
     if attack.uses_channel and (mu is None or eta is None):
         raise ValueError(f"kind {kind!r} requires mu and eta")
     if mu is not None:
-        check_range("mu", mu, 0.0, MAX_MEAN_PHOTON_NUMBER, open_lo=True)
+        MU.check("mu", mu)
     if eta is not None:
-        check_range("eta", eta, 0.0, 1.0)
+        UNIT.check("eta", eta)
     return attack
 
 
@@ -146,8 +145,8 @@ def eve_accuracy_at(
     linear criterion coincide); the returned value is capped at 1.
     """
     attack = _attack(kind, mu, eta)
-    if not 0.0 <= d_ab <= 0.5:
-        raise ValueError(f"d_ab must be in [0, 1/2], got {d_ab!r}")
+    if not D.lo <= d_ab <= D.hi:
+        D.check("d_ab", d_ab)
     return attack.guess_at(d_ab, mu, eta)
 
 

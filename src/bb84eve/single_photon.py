@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import check_range
+from .domain import D, D_IR, UNIT, Z
 from .states import KET_U, KET_V, KET_X, KET_Y
 
 _TOL = 1e-12
@@ -36,13 +36,13 @@ def ir_guess_prob(eps: float) -> float:
     ``eps/2 (1 + 1/sqrt(2)) + (1 - eps)/2``: measured signals are guessed from
     the Breidbart outcome, the rest by a fair coin.
     """
-    check_range("eps", eps, 0.0, 1.0)
+    UNIT.check("eps", eps)
     return 0.5 * eps * (1.0 + 1.0 / SQRT2) + 0.5 * (1.0 - eps)
 
 
 def ir_disturbance(eps: float) -> float:
     """Sifted-key error rate ``eps/4`` of the thinned intercept-resend."""
-    check_range("eps", eps, 0.0, 1.0)
+    UNIT.check("eps", eps)
     return 0.25 * eps
 
 
@@ -51,7 +51,7 @@ def ir_guess_given_disturbance(d: float) -> float:
 
     ``d`` may not exceed 1/4, the error rate when every signal is measured.
     """
-    check_range("d", d, 0.0, 0.25)
+    D_IR.check("d", d)
     return SQRT2 * d + 0.5
 
 
@@ -60,16 +60,15 @@ def helstrom(overlap: float) -> float:
 
     ``1/2 + 1/2 sqrt(1 - overlap^2)`` for states with the given real overlap.
     """
-    if abs(overlap) > 1.0:
-        raise ValueError(f"overlap must be in [-1, 1], got {overlap!r}")
+    Z.check("overlap", overlap)
     return 0.5 + 0.5 * math.sqrt(1.0 - overlap * overlap)
 
 
 def opt_guess_prob(d: float) -> float:
     """Guess probability ``1/2 + sqrt(d(1-d))`` of the optimal probe attack."""
     # checked inline: every point of a probe or PNS sweep lands here
-    if not 0.0 <= d <= 0.5:
-        raise ValueError(f"d must be in [0, 1/2], got {d!r}")
+    if not D.lo <= d <= D.hi:
+        D.check("d", d)
     return 0.5 + math.sqrt(d * (1.0 - d))
 
 
@@ -92,7 +91,7 @@ class ProbeModel:
     disturbance_overlap: float
 
     def __post_init__(self) -> None:
-        check_range("disturbance", self.disturbance, 0.0, 0.5)
+        D.check("disturbance", self.disturbance)
         if abs(self.fidelity + self.disturbance - 1.0) > _TOL:
             raise ValueError("fidelity + disturbance must equal 1")
         lhs = self.fidelity - self.disturbance
@@ -115,7 +114,7 @@ def probe_model_from_disturbance(d: float) -> ProbeModel:
     Solving the three constraints gives ``F = 1 - d``,
     ``F1 = F (1 - 2 d)`` and ``D1 = d (1 - 2 d)``.
     """
-    check_range("d", d, 0.0, 0.5)
+    D.check("d", d)
     fidelity = 1.0 - d
     ratio = 1.0 - 2.0 * d
     return ProbeModel(

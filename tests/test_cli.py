@@ -367,6 +367,22 @@ class TestSimulateCommand:
         for default in ("none", "1.0", "0.0", "100000", "single_result"):
             assert f"(default {default})" in text
 
+    def test_help_prints_each_domain(self):
+        mu, unit, half = "in (0, 20]", "in [0, 1]", "in [0, 0.5]"
+        expected = {
+            "simulate": {
+                "mu": mu, "eta": unit, "t": unit, "eps": unit, "kappa": unit,
+                "d": "[0, 0.25] for bs-ir, else in [0, 0.5]",
+            },
+            "sweep": {"mu": mu, "eta": unit, "d-min": half, "d-max": half},
+            "thresholds": {"mu": mu, "eta": unit},
+        }
+        for command, domains in expected.items():
+            text = " ".join(run_cli(command, "--help").stdout.decode().split())
+            entries = {entry.split()[0]: entry for entry in text.split(" --")[1:]}
+            for name, interval in domains.items():
+                assert interval in entries[name], (command, entries[name])
+
     def test_more_shards_than_pulses_is_a_usage_error(self):
         result = run_cli("simulate", "--mu", "1", "--pulses", "4", "--shards", "5", expect=2)
         assert_one_line_error(result, "shards must be in [1, pulses=4], got 5")

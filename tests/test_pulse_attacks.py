@@ -17,7 +17,7 @@ from bb84eve.pulse_attacks import (
     pns_predict,
 )
 from bb84eve.pulse_optics import scenario_probs
-from bb84eve.security import THRESHOLD_KINDS, eve_accuracy_at, threshold
+from bb84eve.security import THRESHOLD_KINDS, crossing_point, eve_accuracy_at, threshold
 from bb84eve.single_photon import (
     ir_guess_given_disturbance,
     opt_guess_prob,
@@ -209,6 +209,15 @@ class TestKappaCalibration:
             kappa_for_channel(0.0, 0.9)
         with pytest.raises(ValueError):
             kappa_for_channel(1.0, 1.2)
+
+    def test_one_calibration_per_crossing(self):
+        kappa_for_channel.cache_clear()
+        crossing_point("pns", 1.0, 0.9)
+        info = kappa_for_channel.cache_info()
+        assert info.misses == 1 and info.hits > 0
+        for _ in range(2):  # an error is never cached
+            with pytest.raises(ValueError):
+                kappa_for_channel(0.0, 0.5)
 
 
 class TestFullBreakTransmission:

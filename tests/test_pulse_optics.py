@@ -40,6 +40,9 @@ class TestPoissonPmf:
             poisson_pmf(-1.0, 0)
         with pytest.raises(ValueError):
             poisson_pmf(1.0, -1)
+        for mu in (math.nan, math.inf, math.nextafter(20.0, math.inf)):
+            with pytest.raises(ValueError):
+                poisson_pmf(mu, 1)
 
 
 class TestSplitPmf:

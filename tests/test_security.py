@@ -66,8 +66,9 @@ class TestPhi:
             assert a + c - 2 * b > -1e-9
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            phi(1.1)
+        for z in (1.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                phi(z)
 
 
 class TestMutualInformation:

@@ -61,8 +61,9 @@ class TestHelstrom:
         assert helstrom(0.8) == pytest.approx(0.8, abs=1e-15)
 
     def test_range(self):
-        with pytest.raises(ValueError):
-            helstrom(1.1)
+        for overlap in (1.1, math.nan):
+            with pytest.raises(ValueError):
+                helstrom(overlap)
 
 
 class TestProbeModel:
