@@ -18,72 +18,54 @@ clicks, and the engine checks that no resent pulse carries more than one
 photon.  Probe attacks leave photon counts untouched and flip the sifted
 outcome with the attack's disturbance.
 
-The source law is read in one place: each photon count is drawn by inverse
-CDF, from one uniform, out of the cumulative table of the share of the pulse
-it counts.  A laser pulse is Poissonian, and Poisson splitting does the
-rest: when each photon of a Poisson(m) pulse goes one way with probability
-p and the other way otherwise, independently, the two shares are
-independent Poissons of means ``m p`` and ``m (1-p)``.  So no pulse is
-thinned or split photon by photon, and only the counts some tally reads are
-drawn.
+Pulses are drawn as counts, not one by one.  No tally reads which pulse is
+which, and an attack acts on a pulse only through its photon count and
+whether the receiver's basis is the sender's, a fair coin independent of
+the photons.  A Breidbart result is right, and a Breidbart resend read
+wrongly, with the same joint law for each of the four signals.  So a batch
+is tallied from its live pulses per cell, a cell being one photon count
+under one basis flag, and each count is drawn from its exact law: the
+photon-number tables, the 50/50 routing or the state tables of
+:mod:`bb84eve.states`.  What a batch costs does not grow with its number of
+pulses, and a shard is one batch.
 
-Only live pulses are drawn at all.  Pulses are exchangeable and no tally
-depends on their order, so a batch first draws how many of its pulses are
-live, binomially, and gives only those a signal and photon counts, from
-tables conditioned on the pulse being live.  A dead pulse delivers nothing
-to anyone: it is tallied as an empty pulse, and as the ``empty`` scenario
-under a beam-splitter attack.  What makes a pulse live, and what is drawn
-for it, depends on the attack:
+A live pulse holds a photon where the attack needs one: on the receiver's
+share for no attack and the probe, at the source for the others.  A dead
+pulse delivers nothing to anyone; it is tallied as an empty pulse, and as
+the ``empty`` scenario under a beam-splitter attack.  Poisson splitting
+gives each cell's law (see :func:`_live_table`): when each photon of a
+Poisson(m) pulse goes one way with probability p and the other way
+otherwise, the two shares are independent Poissons of means ``m p`` and
+``m (1-p)``.  Each kernel below states what its cells count.
 
-- no attack and the probe attack: the receiver's share holds a photon, with
-  probability ``1 - e^(-mu eta)``; the receiver's count is then
-  zero-truncated Poisson(mu eta).  The probe flips only pulses that left
-  the source with a photon, which every sifted pulse did;
-- the other attacks: the source emitted a photon, with probability
-  ``1 - e^(-mu)``.  The dead pulses all lie inside each share's zero count,
-  so a share counting Poisson(mu p) has, given a live pulse,
-  P(k <= j) = (P_p(k <= j) - e^(-mu)) / (1 - e^(-mu));
-- intercept-resend: the line's share, Poisson(mu eta), given a live pulse.
-  Every live pulse is one to intercept; a resent photon arrives with
-  probability eta;
-- beam-splitter attacks: the receiver's arm, Poisson(mu t), given a live
-  pulse; then the tap, independent of the arm, Poisson(mu (1-t)) where the
-  arm holds a photon and zero-truncated where it does not;
-- photon-number splitting: the source count, zero-truncated Poisson(mu); a
-  multi-photon pulse delivers all but the photon taken.
-
-A one-photon pulse on a lossless line is always live, and its count, all
-of which reaches the receiver, has the table ``[0, 1]``.  On this source the
-``ir`` and ``opt`` kernels are the single-photon attacks:
-:func:`simulate_ir_attack` and :func:`simulate_opt_attack` run them, drawing
-in the order below from the ``Generator`` their caller passes.
-
-Outcomes are drawn only where a tally reads them: the eavesdropper's and the
-receiver's readings only for sifted pulses, and the detector routing only
-for wrong-basis pulses of two photons or more.  Outcomes whose probability
-does not depend on the signal (probe flips and guesses, coin-flip guesses)
-are drawn as binomial counts over the sifted pulses that share them; the
-Breidbart measurements, resent states and tap readouts are drawn per pulse.
+A one-photon pulse on a lossless line is always live, and its photon
+reaches the receiver.  On this source the ``ir`` and ``opt`` kernels are
+the single-photon attacks :func:`simulate_ir_attack` and
+:func:`simulate_opt_attack`, which draw from the ``Generator`` passed in.
 
 Randomness contract: all draws come from counter-based Philox streams.  The
 stream for shard ``i`` of a session with seed ``s`` is
 ``Philox(SeedSequence(entropy=s, spawn_key=(i,)))``; an unsharded run uses
-shard 0.  A shard runs in batches of at most ``_BATCH`` pulses, and a batch
-draws, in this order:
+shard 0.  A shard is one batch, and it draws, in this order:
 
 1. the number of live pulses, one ``Generator.binomial`` draw;
-2. one byte per live pulse from ``Generator.bytes``: bit 0 is the sender's
-   bit, bit 1 her basis and bit 2 the receiver's basis;
-3. one uniform per live pulse for each photon count above, in the order
-   listed (the tap's two laws read the same uniform);
-4. the attack's choices, one uniform per candidate pulse: the live pulses
-   intercept-resend takes, the whole pulses the beam-splitter hybrid
-   resends, the single-photon pulses PNS blocks; then whether each resent
-   photon arrives;
-5. the sifted outcomes: tap readouts, Breidbart measurements followed by
-   the receiver's readings of the resent states, probe flips followed by
-   probe guesses, and coin-flip guesses;
-6. the routing of the wrong-basis pulses, in increasing photon count.
+2. the live pulses per cell, one ``Generator.multinomial`` draw with half
+   the live photon-count pmf in each basis flag;
+3. the attack's counts, one binomial per non-empty cell, sender's basis
+   first, then by photon count: the intercepted pulses and then the resent
+   photons that arrive, per basis flag (intercept-resend); the lit taps,
+   then for the intercept-resend hybrid the same two (beam-splitter); the
+   kept single-photon pulses (photon-number splitting);
+4. the sifted outcomes: the tap readout (one binomial, or for a majority
+   vote one multinomial of the tap photon counts, then per count, in
+   increasing order, one multinomial of the right votes and a binomial of
+   coin flips for the ties), the Breidbart resends (one multinomial of the
+   four outcomes), probe flips then probe guesses, and coin-flip guesses;
+5. the coincidences: one binomial per non-empty wrong-basis cell of two
+   photons or more, in increasing photon count.
+
+A binomial of zero trials draws nothing, and a multinomial visits its
+cells from the least likely up (see :func:`_spread`).
 
 Results are reproducible bit for bit for a fixed (seed, n_pulses, n_shards)
 regardless of how shards are executed.
@@ -95,6 +77,7 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,7 +96,6 @@ from .pulse_optics import OpticalConfig
 from .single_photon import opt_guess_prob
 from .states import BREIDBART_M0, BREIDBART_RESEND_BIT1
 
-_BATCH = 1 << 20
 _HIST_MAX = 63
 
 
@@ -128,8 +110,9 @@ class SessionConfig:
     scenario_a_rule: str = "single_result"
 
     def __post_init__(self) -> None:
-        if self.n_pulses < 1:
-            raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses!r}")
+        # A batch's counts are int64, numpy's widest binomial count.
+        if not 1 <= self.n_pulses < 2**63:
+            raise ValueError(f"n_pulses must be in [1, 2^63 - 1], got {self.n_pulses!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.scenario_a_rule not in SCENARIO_A_RULES:
@@ -271,49 +254,50 @@ class _Tally:
             nonempty_count=self.nonempty,
             coincidence_count=self.coincidences,
             scenario_counts=dict(self.scenario) if self.scenario is not None else None,
-            bob_count_hist=tuple(int(c) for c in self.hist),
+            bob_count_hist=tuple(self.hist.tolist()),
         )
 
 
-#: Every uniform is compared directly with the head of a table: its
-#: entries up to the first past which less than ``_TAIL_MASS`` of the mass
-#: remains, at most ``_MAX_HEAD`` of them.  The rest go to a binary search.
-_TAIL_MASS = 1.0 / 64
-_MAX_HEAD = 6
 #: Terms summed to build a table; for means up to 20 the mass past them is
 #: below 1e-50.
 _TABLE_TERMS = 128
 
-#: A cumulative table of photon counts and the length of its head.
-_Table = tuple[np.ndarray, int]
-#: The chance that a pulse is live, and the table of its counted photons
-#: given that it is.
-_Law = tuple[float, _Table]
-
-#: Bits of a splitter route code: photons on the receiver's arm, photons on
-#: the tap; a route code adds 4 when the receiver is in the wrong basis.
-_ROUTE_BOB, _ROUTE_EVE = 1, 2
-_ROUTE_BOTH = _ROUTE_BOB | _ROUTE_EVE
+#: A pmf laid out for a multinomial draw: its entries from the smallest up,
+#: and the entry each of them is (see :func:`_spread`).
+_Layout = tuple[np.ndarray, np.ndarray]
 
 
-def _cumulative(pmf: np.ndarray) -> _Table:
-    """Cumulative table of ``pmf`` and the length of its head.
+def _layout(pmf: np.ndarray) -> _Layout:
+    places = np.argsort(pmf, kind="stable")
+    return pmf[places], places
 
-    Entries below 1/2 are forward sums of the probabilities and the rest are
-    one minus the tail summed from the far end, so each is accurate to about
-    an ulp.  The table ends at its first entry that is 1.0 in float64, which
-    no uniform in [0, 1) reaches; for the means used here (at most 20) that
-    is before entry 70, so a count fits in 7 bits.  The head holds the
-    entries up to the first past which less than ``_TAIL_MASS`` of the mass
-    remains.
+
+class _Law(NamedTuple):
+    """The chance that a share of a pulse holds a photon; the pmf of its photons
+    then, laid out too; and the cells' law, half that pmf per basis flag."""
+
+    p_live: float
+    pmf: np.ndarray
+    counts: _Layout
+    cells: _Layout
+
+
+def _law(p_live: float, pmf: np.ndarray) -> _Law:
+    return _Law(p_live, pmf, _layout(pmf), _layout(np.concatenate((pmf, pmf)) * 0.5))
+
+
+def _truncated(pmf: np.ndarray) -> np.ndarray:
+    """``pmf`` up to its first count ``j`` at which ``P(K <= j)`` is 1.0 in float64.
+
+    ``P(K <= j)`` is one minus the mass past ``j``, summed from the far
+    end, so less than 2^-53 of the mass is dropped.  Counts 0 and 1 are
+    always kept; for means up to 20 a table ends before count 70.
     """
-    below = np.cumsum(pmf)
-    above = 1.0 - np.append(np.cumsum(pmf[::-1])[-2::-1], 0.0)
-    cdf = np.maximum.accumulate(np.where(below < 0.5, below, above))
-    cdf = cdf[: int(np.argmax(cdf == 1.0)) + 1].copy()
-    head = min(_MAX_HEAD, cdf.size, 1 + int(np.count_nonzero(cdf < 1.0 - _TAIL_MASS)))
-    cdf.setflags(write=False)
-    return cdf, head
+    past = np.append(np.cumsum(pmf[::-1])[-2::-1], 0.0)
+    end = max(2, int(np.argmax(1.0 - past == 1.0)) + 1)
+    table = pmf[:end].copy()
+    table.setflags(write=False)
+    return table
 
 
 def _series(x: float, first: float, start: int, n: int) -> np.ndarray:
@@ -330,19 +314,8 @@ def _expm1_ratio(x: float) -> float:
     return -math.expm1(-x) / x if x > 0.0 else 1.0
 
 
-@functools.lru_cache(maxsize=32)
-def _poisson_table(mean: float) -> _Table:
-    """Cumulative Poisson(``mean``) table and the length of its head.
-
-    Entry ``n`` is P(N <= n); see :func:`_cumulative`.
-    """
-    MEAN.check("mean", mean)
-    return _cumulative(math.exp(-mean) * _series(mean, 1.0, 1, _TABLE_TERMS))
-
-
-@functools.lru_cache(maxsize=32)
-def _live_table(mean: float, share: float) -> _Table:
-    """Table of the photons in ``share`` of a Poisson(``mean``) pulse that holds one.
+def _live_table(mean: float, share: float) -> np.ndarray:
+    """Pmf of the photons in ``share`` of a Poisson(``mean``) pulse that holds one.
 
     The pulse holds a photon with probability ``L = -expm1(-mean)``.  Its
     ``share`` holds Poisson(``x = mean share``) photons and the rest
@@ -360,52 +333,63 @@ def _live_table(mean: float, share: float) -> _Table:
     pmf = np.empty(_TABLE_TERMS)
     pmf[0] = (1.0 - share) * _expm1_ratio(mean * (1.0 - share))
     pmf[1:] = _series(x, share, 2, _TABLE_TERMS - 1)
-    return _cumulative(pmf * (math.exp(-x) / _expm1_ratio(mean)))
+    return _truncated(pmf * (math.exp(-x) / _expm1_ratio(mean)))
 
 
+@functools.lru_cache(maxsize=64)
 def _poisson_source(mu: float, lit: float, share: float) -> _Law:
     """The live law of a Poisson(``mu``) pulse: the chance that its ``lit``
-    share holds a photon, and the table of the photons in ``share`` of that
+    share holds a photon, and the pmf of the photons in ``share`` of that
     part given that it does."""
-    return -math.expm1(-mu * lit), _live_table(mu * lit, share)
+    return _law(-math.expm1(-mu * lit), _live_table(mu * lit, share))
 
 
-_ONE_PHOTON_LAWS = {(1.0, 1.0): (1.0, (np.array([0.0, 1.0]), 2))}
-
-
+@functools.cache
 def _one_photon_source(lit: float, share: float) -> _Law:
     """The live law of a one-photon pulse on a lossless line: the pulse always
     holds its photon, and all of it reaches the receiver.  No other share is
     drawn on it."""
-    return _ONE_PHOTON_LAWS[lit, share]
+    if (lit, share) != (1.0, 1.0):
+        raise ValueError(f"a one-photon pulse has no ({lit}, {share}) share")
+    pmf = np.array([0.0, 1.0])
+    pmf.setflags(write=False)
+    return _law(1.0, pmf)
 
 
-def _inverse_cdf(u: np.ndarray, table: _Table) -> np.ndarray:
-    """Counts by inverse CDF: the number of entries of ``table`` that are ``<= u``.
+#: Pulses per cell: row 0 measured in the sender's basis, row 1 not; entry ``k``
+#: counting ``k`` photons.  Lists: numpy's per-call cost would dominate here.
+_Cells = list[list[int]]
 
-    Each uniform is compared with the head of the table; only the few past
-    the head are placed by binary search.  Returns a writable uint8 array.
+
+def _spread(rng: np.random.Generator, n: int, layout: _Layout) -> list[int]:
+    """How many of ``n`` independent draws from a pmf fall on each entry.
+
+    One multinomial draw, over the entries from the smallest up: it forms
+    each entry's share of the mass still to visit and gives the last, the
+    largest, what is left, so no share is a ratio of rounding errors.
     """
-    cdf, head = table
-    counts = (u >= cdf[0]).view(np.uint8)
-    for edge in cdf[1:head]:
-        counts += u >= edge
-    rest = np.flatnonzero(u >= cdf[head - 1])
-    counts[rest] = np.searchsorted(cdf, u[rest], side="right")
-    return counts
+    probs, places = layout
+    drawn = np.empty(places.size, dtype=np.int64)
+    drawn[places] = rng.multinomial(n, probs)
+    return drawn.tolist()
 
 
-def _by_count(k: np.ndarray, wrong: np.ndarray) -> np.ndarray:
-    """Pulses by receiver photon count: row 0 in the sender's basis, row 1 not.
-
-    ``wrong`` is 128 for a wrong-basis pulse and 0 otherwise; every count is
-    below 128 (see :func:`_poisson_table`).
-    """
-    return np.bincount(k | wrong, minlength=256).reshape(2, 128)
+def _draw_cells(rng: np.random.Generator, size: int, law: _Law) -> _Cells:
+    """Live pulses per cell among ``size`` pulses of the live law ``law``."""
+    drawn = _spread(rng, int(rng.binomial(size, law.p_live)), law.cells)
+    return [drawn[: law.pmf.size], drawn[law.pmf.size :]]
 
 
-def _sifted(by_count: np.ndarray) -> int:
-    return int(by_count[0, 1:].sum())
+def _sifted(cells: _Cells) -> int:
+    """Pulses measured in the sender's basis that deliver a photon."""
+    return sum(cells[0][1:])
+
+
+def _binomials(rng: np.random.Generator, counts: list[int], p: float) -> list[int]:
+    """``binomial(n, p)`` for each ``n`` of ``counts``, in order.  Empty counts
+    draw nothing, as in numpy's own loop over an array, whose fixed cost
+    (about 13 us) would be most of a small batch's time."""
+    return [int(rng.binomial(n, p)) if n else 0 for n in counts]
 
 
 def _coins(rng: np.random.Generator, n: int) -> int:
@@ -413,209 +397,224 @@ def _coins(rng: np.random.Generator, n: int) -> int:
     return int(rng.binomial(n, 0.5))
 
 
-def _resend(
-    rng: np.random.Generator, k: np.ndarray, attacked: np.ndarray, survival: float
-) -> np.ndarray:
-    """Replace the attacked pulses by one fresh photon that arrives with ``survival``.
-
-    Writes their receiver counts into ``k`` and returns the attacked pulses
-    that arrive.
-    """
-    arrived = rng.binomial(1, survival, attacked.size)
-    # A resent pulse carries one fresh photon at most; this keeps same-basis
-    # double clicks structurally impossible.
-    if int(arrived.max(initial=0)) > 1:
-        raise RuntimeError("a resent pulse carries more than one photon")
-    k[attacked] = arrived
-    return attacked[arrived != 0]
+def _probed(rng: np.random.Generator, n: int, d: float) -> tuple[int, int]:
+    """Errors and right guesses among ``n`` sifted pulses probed at strength ``d``."""
+    return int(rng.binomial(n, d)), int(rng.binomial(n, opt_guess_prob(d)))
 
 
-def _breidbart_resend(rng: np.random.Generator, signal: np.ndarray) -> tuple[int, int]:
-    """Breidbart measurement and resend of sifted pulses with these signals.
+def _breidbart_law(basis: int, bit: int) -> np.ndarray:
+    """(eavesdropper right, no error), (right, error), (wrong, no error) and
+    (wrong, error) after a Breidbart measure-and-resend of the signal
+    (``basis``, ``bit``), read in the sender's basis."""
+    law = []
+    for outcome in (bit, 1 - bit):
+        p_outcome = BREIDBART_M0[basis, bit] if outcome == 0 else 1.0 - BREIDBART_M0[basis, bit]
+        p_read1 = BREIDBART_RESEND_BIT1[basis, outcome]
+        p_error = p_read1 if bit == 0 else 1.0 - p_read1
+        law += [p_outcome * (1.0 - p_error), p_outcome * p_error]
+    return np.array(law)
 
-    Returns the eavesdropper's right guesses and the receiver's errors.  The
-    pulses are sifted, so the receiver measures in the sender's basis.
-    """
-    basis, bit = (signal >> 1) & 1, signal & 1
-    outcome = (rng.random(signal.size) >= BREIDBART_M0[basis, bit]).view(np.uint8)
-    read = rng.random(signal.size) < BREIDBART_RESEND_BIT1[basis, outcome]
-    return int(np.count_nonzero(outcome == bit)), int(np.count_nonzero(read != bit))
+
+@functools.cache
+def _breidbart_outcomes() -> _Layout:
+    """:func:`_breidbart_law`, the same for each of the four signals, laid out:
+    0.7286, 0.125, 0.0214 and 0.125."""
+    return _layout(sum(_breidbart_law(basis, bit) for basis in (0, 1) for bit in (0, 1)) / 4)
 
 
-def _tap_readout(
-    rng: np.random.Generator, signal: np.ndarray, k_eve: np.ndarray, majority: bool
-) -> int:
-    """Right guesses from the tap on sifted pulses with these signals.
+@functools.cache
+def _breidbart_right() -> float:
+    """The chance (2+sqrt(2))/4 that one Breidbart result names the signal's bit."""
+    right = [_breidbart_law(basis, bit)[:2].sum() for basis in (0, 1) for bit in (0, 1)]
+    return float(np.mean(right))
 
-    One Breidbart result per pulse, or a Breidbart result per tapped photon
-    and a majority vote with coin-flip ties.
-    """
-    basis, bit = (signal >> 1) & 1, signal & 1
-    p_m0 = BREIDBART_M0[basis, bit]
+
+def _breidbart_resends(rng: np.random.Generator, n: int) -> tuple[int, int]:
+    """The eavesdropper's right guesses and the receiver's errors on ``n``
+    sifted pulses she measured and resent."""
+    right, right_error, _, wrong_error = _spread(rng, n, _breidbart_outcomes())
+    return right + right_error, right_error + wrong_error
+
+
+@functools.lru_cache(maxsize=128)
+def _votes(j: int) -> _Layout:
+    """The law of the right Breidbart results among ``j`` tapped photons."""
+    p = _breidbart_right()
+    return _layout(np.array([math.comb(j, v) * p**v * (1.0 - p) ** (j - v) for v in range(j + 1)]))
+
+
+def _tap_readout(rng: np.random.Generator, tapped: int, tap: _Layout, majority: bool) -> int:
+    """Right guesses from the tap on ``tapped`` sifted pulses: one Breidbart
+    result per pulse, or one per tapped photon, ``tap`` their law, and a
+    majority vote with coin-flip ties."""
     if not majority:
-        return int(np.count_nonzero((rng.random(signal.size) >= p_m0) == bit))
-    k_eve = k_eve.astype(np.int64)
-    det0 = rng.binomial(k_eve, p_m0)
-    margin = np.where(bit == 1, k_eve - 2 * det0, 2 * det0 - k_eve)
-    return int(np.count_nonzero(margin > 0)) + _coins(rng, int(np.count_nonzero(margin == 0)))
+        return int(rng.binomial(tapped, _breidbart_right()))
+    right = 0
+    for j, pulses in enumerate(_spread(rng, tapped, tap)):
+        if pulses:
+            votes = _spread(rng, pulses, _votes(j))
+            right += sum(votes[j // 2 + 1 :])
+            if j % 2 == 0:
+                right += _coins(rng, votes[j // 2])
+    return right
 
 
-def _coincidences(rng: np.random.Generator, wrong_by_count: np.ndarray) -> int:
-    """Wrong-basis pulses that fire both detectors, each photon routed 50/50.
+def _intercept(
+    rng: np.random.Generator, cells: _Cells, exposed: _Cells, p: float, survival: float
+) -> int:
+    """Intercept each pulse of ``exposed``, a part of ``cells``, with
+    probability ``p`` and resend it as one photon that arrives with
+    ``survival``, into the one-photon cell; returns the sifted arrivals."""
+    resent = []
+    for row, row_exposed in zip(cells, exposed):
+        attacked = _binomials(rng, row_exposed, p)
+        row[:] = [n - a for n, a in zip(row, attacked)]
+        resent.append(sum(attacked))
+    arrived = _binomials(rng, resent, survival)
+    for row, sent, got in zip(cells, resent, arrived):
+        # A resent pulse carries one fresh photon at most; this keeps
+        # same-basis double clicks structurally impossible.
+        if got > sent:
+            raise RuntimeError("a resent pulse carries more than one photon")
+        row[0] += sent - got
+        row[1] += got
+    return arrived[0]
 
-    ``wrong_by_count[k]`` wrong-basis pulses carry ``k`` photons.  Only those
-    with ``k >= 2`` can fire both, and each of them draws its routing
-    binomial(k, 1/2), in order of ``k``.
-    """
-    total = 0
-    for k in np.flatnonzero(wrong_by_count[2:]) + 2:
-        routed = rng.binomial(k, 0.5, wrong_by_count[k])
-        total += int(np.count_nonzero((routed != 0) & (routed != k)))
-    return total
+
+def _line(config: SessionConfig, rng, size: int, source: Callable, tally: _Tally) -> _Cells:
+    # Live: the receiver's share holds a photon, with probability
+    # 1 - e^(-mu eta); cells count its zero-truncated Poisson(mu eta) photons.
+    return _draw_cells(rng, size, source(config.optics.eta, 1.0))
 
 
-def _scenarios(routes: np.ndarray) -> dict[str, int]:
-    by_route = np.bincount(routes, minlength=8)
-    c = by_route[:4] + by_route[4:]
-    return {"both": int(c[3]), "eve_only": int(c[2]), "bob_only": int(c[1]), "empty": int(c[0])}
+def _probe(config: SessionConfig, rng, size: int, source: Callable, tally: _Tally) -> _Cells:
+    # The probe leaves the counts alone; it flips only pulses that left the
+    # source with a photon, which every sifted pulse did.
+    cells = _line(config, rng, size, source, tally)
+    tally.errors, tally.eve_correct = _probed(rng, _sifted(cells), config.attack.d)
+    return cells
 
 
-def _live_pulses(
-    rng: np.random.Generator, size: int, law: _Law
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw how many of ``size`` pulses are live, then their signals and counts.
+def _intercept_resend(
+    config: SessionConfig, rng, size: int, source: Callable, tally: _Tally
+) -> _Cells:
+    # Live: the source emitted a photon, so there is a pulse to intercept;
+    # cells count the line's share, Poisson(mu eta).
+    eta = config.optics.eta
+    cells = _draw_cells(rng, size, source(1.0, eta))
+    resent = _intercept(rng, cells, [row[:] for row in cells], config.attack.eps, eta)
+    right, tally.errors = _breidbart_resends(rng, resent)
+    tally.eve_correct = right + _coins(rng, _sifted(cells) - resent)
+    return cells
 
-    ``law`` is the chance that a pulse is live and the table of its counted
-    photons given that it is.  Returns each live pulse's signal byte, its
-    wrong-basis flag (see :func:`_by_count`) and its count.
-    """
-    p_live, table = law
-    m = int(rng.binomial(size, p_live))
-    signal = np.frombuffer(rng.bytes(m), dtype=np.uint8)
-    # 128 where the receiver's basis (bit 2) is not the sender's (bit 1).
-    wrong = ((signal << 6) ^ (signal << 5)) & 128
-    return signal, wrong, _inverse_cdf(rng.random(m), table)
+
+def _tap(config: SessionConfig, rng, size: int, source: Callable, tally: _Tally):
+    """The cells of the receiver's arm, and per cell the pulses whose tap is lit."""
+    t = config.attack.t
+    # Live: the source emitted a photon, on the receiver's arm or the tap;
+    # cells count the arm's share, Poisson(mu t).
+    cells = _draw_cells(rng, size, source(1.0, t))
+    # The tap is independent of the arm, a Poisson property: lit with the
+    # chance that a Poisson(mu (1-t)) share holds a photon where the arm
+    # holds one, and always where it holds none, since the pulse is live.
+    p_lit = source(1.0 - t, 1.0).p_live
+    lit = [[row[0], *_binomials(rng, row[1:], p_lit)] for row in cells]
+    live = sum(map(sum, cells))
+    dark = cells[0][0] + cells[1][0]
+    both = sum(map(sum, lit)) - dark
+    tally.scenario = dict(both=both, eve_only=dark, bob_only=live - dark - both, empty=size - live)
+    return cells, lit
+
+
+def _bs_opt(config: SessionConfig, rng, size: int, source: Callable, tally: _Tally) -> _Cells:
+    cells, lit = _tap(config, rng, size, source, tally)
+    tapped = sum(lit[0][1:])  # both arms lit, sender's basis
+    tally.errors, right = _probed(rng, _sifted(cells) - tapped, config.attack.d)
+    tally.eve_correct = tapped + right
+    return cells
+
+
+def _bs_ir(config: SessionConfig, rng, size: int, source: Callable, tally: _Tally) -> _Cells:
+    cells, lit = _tap(config, rng, size, source, tally)
+    tapped = sum(lit[0][1:])
+    # Only pulses that reach the receiver whole are attacked; the tapped
+    # line is lossless.
+    whole = [[n - n_lit for n, n_lit in zip(row, row_lit)] for row, row_lit in zip(cells, lit)]
+    resent = _intercept(rng, cells, whole, 4.0 * config.attack.d, 1.0)
+    right = _tap_readout(
+        rng, tapped, source(1.0 - config.attack.t, 1.0).counts, config.scenario_a_rule == "majority"
+    )
+    right_resent, tally.errors = _breidbart_resends(rng, resent)
+    untouched = _sifted(cells) - tapped - resent
+    tally.eve_correct = right + right_resent + _coins(rng, untouched)
+    return cells
+
+
+def _pns(config: SessionConfig, rng, size: int, source: Callable, tally: _Tally) -> _Cells:
+    # Live: the source emitted a photon; cells count them, zero-truncated
+    # Poisson(mu), and the eavesdropper takes one.
+    cells = _draw_cells(rng, size, source(1.0, 1.0))
+    kept = _binomials(rng, [row[1] for row in cells], 1.0 - config.attack.kappa)
+    # Each pulse loses a photon, and the kept singles get theirs back.
+    bob = [[row[1] - n_kept, *row[2:], 0] for row, n_kept in zip(cells, kept)]
+    for row, n_kept in zip(bob, kept):
+        row[1] += n_kept
+    tally.errors, right = _probed(rng, kept[0], config.attack.d)
+    tally.eve_correct = _sifted(bob) - kept[0] + right
+    return bob
+
+
+#: The kernel of each attack class, and of the untouched line under ``None``:
+#: it draws a batch's cells, applies the attack, records the attack's own
+#: tallies and returns the receiver's photons per cell.
+_KERNELS: dict[type[Attack] | None, Callable] = {
+    None: _line,
+    InterceptResend: _intercept_resend,
+    OptimalIncoherent: _probe,
+    BsInterceptResend: _bs_ir,
+    BsOptimal: _bs_opt,
+    Pns: _pns,
+}
+
+
+def _coincidences(rng: np.random.Generator, wrong: list[int]) -> int:
+    """Wrong-basis pulses that fire both detectors: of the ``wrong[k]`` that
+    carry ``k`` photons, each routed 50/50, those that do not send all one
+    way, with probability ``1 - 2^(1-k)``."""
+    return sum(
+        int(rng.binomial(n, 1.0 - 2.0 ** (1 - k))) for k, n in enumerate(wrong) if k >= 2 and n
+    )
 
 
 def _simulate_batch(
     config: SessionConfig, rng: np.random.Generator, size: int, source: Callable | None = None
 ) -> _Tally:
-    """Tally one batch of ``size`` pulses, drawing only the live ones.
+    """Tally ``size`` pulses, drawn as counts per cell.
 
-    ``source(lit, share)`` gives the chance that the ``lit`` share of a pulse
-    holds a photon and the (table, head) of the photons in ``share`` of that
-    part given that it does; by default the laws of a Poisson(``mu``) pulse.
-    The dead pulses deliver nothing, and no draw is spent on them.
+    ``source(lit, share)`` gives the :class:`_Law` of the photons in
+    ``share`` of the ``lit`` part of a pulse; by default a Poisson(``mu``) one.
     """
-    mu = config.optics.mu
-    eta = config.optics.eta
     attack = config.attack
-    source = source or functools.partial(_poisson_source, mu)
-    tally = _Tally(n_pulses=size)
-
-    if attack is None or isinstance(attack, OptimalIncoherent):
-        # Live: the receiver's share holds a photon.
-        signal, wrong, k = _live_pulses(rng, size, source(eta, 1.0))
-        by_count = _by_count(k, wrong)
-        if attack is not None:
-            sifted = _sifted(by_count)
-            tally.errors = int(rng.binomial(sifted, attack.d))
-            tally.eve_correct = int(rng.binomial(sifted, opt_guess_prob(attack.d)))
-
-    elif isinstance(attack, InterceptResend):
-        # Live: the source emitted a photon, so there is a pulse to intercept.
-        signal, wrong, k = _live_pulses(rng, size, source(1.0, eta))
-        attacked = np.flatnonzero(rng.random(k.size) < attack.eps)
-        resent = _resend(rng, k, attacked, eta)
-        by_count = _by_count(k, wrong)
-        sifted_resent = resent[wrong[resent] == 0]
-        right, tally.errors = _breidbart_resend(rng, signal[sifted_resent])
-        tally.eve_correct = right + _coins(rng, _sifted(by_count) - sifted_resent.size)
-
-    elif isinstance(attack, (BsInterceptResend, BsOptimal)):
-        # Live: the source emitted a photon, on the receiver's arm or the tap.
-        signal, wrong, k = _live_pulses(rng, size, source(1.0, attack.t))
-        # The tap is independent of the receiver's arm, a Poisson property:
-        # Poisson(mu (1-t)) where the arm holds a photon, and zero-truncated
-        # where it holds none, since the pulse is live.
-        u = rng.random(k.size)
-        k_eve = _inverse_cdf(u, _poisson_table(mu * (1.0 - attack.t)))
-        dark = np.flatnonzero(k == 0)
-        if dark.size:
-            k_eve[dark] = _inverse_cdf(u[dark], source(1.0 - attack.t, 1.0)[1])
-        routes = (
-            (k != 0).view(np.uint8)
-            | ((k_eve != 0).view(np.uint8) << 1)
-            | (wrong >> 5)
-        )
-        tally.scenario = _scenarios(routes)
-        tally.scenario["empty"] += size - k.size  # the dead pulses
-        tapped = routes == _ROUTE_BOTH  # both arms lit, sender's basis
-        if isinstance(attack, BsOptimal):
-            by_count = _by_count(k, wrong)
-            n_tapped = int(np.count_nonzero(tapped))
-            probed = _sifted(by_count) - n_tapped
-            tally.errors = int(rng.binomial(probed, attack.d))
-            tally.eve_correct = n_tapped + int(rng.binomial(probed, opt_guess_prob(attack.d)))
-        else:
-            whole = np.flatnonzero((routes & _ROUTE_BOTH) == _ROUTE_BOB)
-            attacked = whole[rng.random(whole.size) < 4.0 * attack.d]
-            resent = _resend(rng, k, attacked, 1.0)  # the tapped line is lossless
-            by_count = _by_count(k, wrong)
-            tapped_pulses = np.flatnonzero(tapped)
-            right = _tap_readout(
-                rng,
-                signal[tapped_pulses],
-                k_eve[tapped_pulses],
-                config.scenario_a_rule == "majority",
-            )
-            sifted_resent = resent[wrong[resent] == 0]
-            right_resent, tally.errors = _breidbart_resend(rng, signal[sifted_resent])
-            untouched = _sifted(by_count) - tapped_pulses.size - sifted_resent.size
-            tally.eve_correct = right + right_resent + _coins(rng, untouched)
-
-    elif isinstance(attack, Pns):
-        # Live: the source emitted a photon; the eavesdropper takes one.
-        signal, wrong, n = _live_pulses(rng, size, source(1.0, 1.0))
-        k = n - 1  # kept singles get theirs back
-        singles = np.flatnonzero(n == 1)
-        kept = singles[rng.random(singles.size) >= attack.kappa]
-        k[kept] = 1
-        by_count = _by_count(k, wrong)
-        probed = int(np.count_nonzero(wrong[kept] == 0))
-        tally.errors = int(rng.binomial(probed, attack.d))
-        tally.eve_correct = (
-            _sifted(by_count) - probed + int(rng.binomial(probed, opt_guess_prob(attack.d)))
-        )
-
-    else:
+    kernel = _KERNELS.get(None if attack is None else type(attack))
+    if kernel is None:
         raise TypeError(f"unsupported attack {attack!r}")
-
-    counts = by_count.sum(axis=0)
-    counts[0] += size - k.size
-    tally.hist[:_HIST_MAX] = counts[:_HIST_MAX]
-    tally.hist[_HIST_MAX] = counts[_HIST_MAX:].sum()
-    tally.sifted = _sifted(by_count)
-    tally.nonempty = size - int(counts[0])
-    tally.coincidences = _coincidences(rng, by_count[1])
+    tally = _Tally(n_pulses=size)
+    source = source or functools.partial(_poisson_source, config.optics.mu)
+    bob = kernel(config, rng, size, source, tally)
+    counts = [a + b for a, b in zip(*bob)]
+    counts[0] += size - sum(counts)  # the dead pulses
+    top = min(len(counts), _HIST_MAX)
+    tally.hist[:top] = counts[:top]
+    tally.hist[_HIST_MAX] += sum(counts[_HIST_MAX:])
+    tally.sifted = _sifted(bob)
+    tally.nonempty = size - counts[0]
+    tally.coincidences = _coincidences(rng, bob[1])
     return tally
-
-
-def _simulate_shard(
-    config: SessionConfig, rng: np.random.Generator, n: int, source: Callable | None = None
-) -> _Tally:
-    total = _Tally()
-    done = 0
-    while done < n:
-        size = min(_BATCH, n - done)
-        total.add(_simulate_batch(config, rng, size, source))
-        done += size
-    return total
 
 
 def run_session(config: SessionConfig) -> SessionStats:
     """Simulate the whole session on the shard-0 stream."""
-    return _simulate_shard(config, shard_rng(config.seed, 0), config.n_pulses).freeze()
+    return _simulate_batch(config, shard_rng(config.seed, 0), config.n_pulses).freeze()
 
 
 def run_sharded(config: SessionConfig, n_shards: int) -> SessionStats:
@@ -635,7 +634,7 @@ def run_sharded(config: SessionConfig, n_shards: int) -> SessionStats:
     total = _Tally()
     for i in range(n_shards):
         size = base + 1 if i < rem else base
-        total.add(_simulate_shard(config, shard_rng(config.seed, i), size))
+        total.add(_simulate_batch(config, shard_rng(config.seed, i), size))
     return total.freeze()
 
 
@@ -676,7 +675,7 @@ def _one_photon_run(attack: Attack, n_trials: int, rng: np.random.Generator) -> 
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials!r}")
     config = SessionConfig(OpticalConfig(mu=1.0), attack, n_trials, seed=0)  # unused: rng draws
-    s = _simulate_shard(config, rng, n_trials, _one_photon_source).freeze()
+    s = _simulate_batch(config, rng, n_trials, _one_photon_source).freeze()
     return AttackSample(
         s.eve_accuracy, s.eve_accuracy_stderr, s.qber, s.qber_stderr, s.sifted_count
     )

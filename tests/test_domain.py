@@ -84,7 +84,6 @@ LIBRARY = [
     (security.i_ab, {"d": 0.1}, {"d": D}),
     (security.i_eve, {"p_correct": 0.75}, {"p_correct": P_CORRECT}),
     (security.feasible, {"d_ab": 0.1, "p_correct": 0.75}, {"d_ab": D, "p_correct": P_CORRECT}),
-    (engine._poisson_table, {"mean": 1.0}, {"mean": MEAN}),
     (engine._live_table, {"mean": 1.0, "share": 0.5}, {"mean": MEAN, "share": UNIT}),
 ]
 for kind in security.THRESHOLD_KINDS:

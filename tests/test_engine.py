@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from bb84eve.engine import (
     shard_rng,
 )
 from bb84eve.pulse_attacks import (
+    ATTACKS,
     BsInterceptResend,
     BsOptimal,
     InterceptResend,
@@ -21,10 +23,12 @@ from bb84eve.pulse_attacks import (
     kappa_for_channel,
 )
 from bb84eve.engine import (
-    _inverse_cdf,
+    _KERNELS,
+    _breidbart_law,
+    _breidbart_outcomes,
     _live_table,
     _one_photon_source,
-    _poisson_table,
+    _poisson_source,
     _simulate_batch,
 )
 from bb84eve.pulse_optics import SERIES_CUTOFF, OpticalConfig, coincidence_prob, poisson_pmf
@@ -99,29 +103,58 @@ FIXED_UNIFORMS = np.concatenate([
 ])
 
 
+def assert_inverts_like(pmf: np.ndarray, ref: np.ndarray) -> None:
+    """Counts by inverse CDF of ``pmf`` equal those of the reference cdf ``ref``.
+
+    ``ref[j]`` is P(K <= j), j = 0..99.  A uniform within rounding of a
+    boundary of the reference may fall either side of it; every other
+    uniform must get the same count.  A boundary at 0 is exact, and the two
+    uniforms next to 1 always sit within rounding of the reference's last
+    boundary, 1.
+    """
+    near = (ref > 0.0) & (np.abs(FIXED_UNIFORMS[:, None] - ref) <= 1e-14)
+    u = FIXED_UNIFORMS[~near.any(axis=1)]
+    assert u.size >= FIXED_UNIFORMS.size - 3
+    counts = np.searchsorted(np.cumsum(pmf), u, side="right")
+    assert np.array_equal(counts, np.searchsorted(ref, u, side="right"))
+
+
+def laid_out(layout) -> np.ndarray:
+    """The pmf a multinomial layout holds, in its own order."""
+    probs, places = layout
+    pmf = np.empty(probs.size)
+    pmf[places] = probs
+    return pmf
+
+
+def unconditional(law) -> np.ndarray:
+    """The whole pulse's photon-count pmf, dead pulses included, from a live law."""
+    return np.r_[1.0 - law.p_live, law.p_live * law.pmf[1:]]
+
+
 class TestPoissonSampler:
+    """The live probability and the live table together are the Poisson law."""
+
     @pytest.mark.parametrize("mean", [1e-3, 0.1, 0.9, 1.0, 5.0, 20.0])
     def test_inverse_cdf_matches_scipy_ppf(self, mean):
-        cdf, _ = _poisson_table(mean)
-        # A uniform equal to a table entry sits on the boundary of two counts,
-        # where rounding of the two tables may differ by an ulp.
-        u = FIXED_UNIFORMS[~np.isin(FIXED_UNIFORMS, cdf)]
-        assert u.size >= FIXED_UNIFORMS.size - 1
-        counts = _inverse_cdf(u, _poisson_table(mean))
-        assert np.array_equal(counts, scistats.poisson.ppf(u, mean).astype(np.int64))
+        pmf = unconditional(_poisson_source(mean, 1.0, 1.0))
+        assert_inverts_like(pmf, scistats.poisson.cdf(np.arange(100), mean))
 
     @pytest.mark.parametrize("mean", [0.0, 1e-3, 1.0, 20.0])
     def test_table_runs_to_one_and_is_read_only(self, mean):
-        cdf, head = _poisson_table(mean)
-        assert cdf[-1] == 1.0 and (cdf.size == 1 or cdf[-2] < 1.0)
-        assert np.all(np.diff(cdf) >= 0.0)
-        assert 1 <= head <= cdf.size and cdf.size < 128
-        assert not cdf.flags.writeable
+        law = _poisson_source(mean, 1.0, 1.0)
+        assert math.fsum(unconditional(law)) == pytest.approx(1.0, abs=1e-15)
+        assert np.all(law.pmf >= 0.0) and 2 <= law.pmf.size < 128
+        assert not law.pmf.flags.writeable
+        assert np.array_equal(laid_out(law.counts), law.pmf)
+        # Each multinomial visits its cells from the smallest up.
+        assert np.all(np.diff(law.cells[0]) >= 0.0)
 
     def test_one_photon_source_puts_the_photon_in_the_whole_pulse(self):
-        p_live, table = _one_photon_source(1.0, 1.0)
-        assert p_live == 1.0
-        assert np.all(_inverse_cdf(FIXED_UNIFORMS, table) == 1)
+        law = _one_photon_source(1.0, 1.0)
+        assert law.p_live == 1.0
+        assert law.pmf.tolist() == [0.0, 1.0]
+        assert laid_out(law.cells).tolist() == [0.0, 0.5, 0.0, 0.5]
 
     def test_top_of_domain_histogram_is_poissonian(self):
         cfg = make_config(None, mu=20.0, eta=1.0, n_pulses=400_000, seed=11)
@@ -146,32 +179,45 @@ def live_cdf(mean: float, share: float) -> np.ndarray:
     return 1.0 - scistats.poisson.sf(np.arange(100), mean * share) / scistats.poisson.sf(0, mean)
 
 
+def live_pmf(mean: float, share: float, n: int) -> np.ndarray:
+    """P(K = j | the pulse holds a photon), j < n, from scipy.stats.poisson.
+
+    The share is empty while the pulse holds a photon when the rest of the
+    pulse, an independent Poisson(``mean (1-share)``), holds one.
+    """
+    x = mean * share
+    pmf = scistats.poisson.pmf(np.arange(n), x)
+    pmf[0] *= scistats.poisson.sf(0, mean - x)
+    return pmf / scistats.poisson.sf(0, mean)
+
+
 class TestLiveTables:
     @pytest.mark.parametrize("share", [1.0, 0.9, 0.5, 0.1])
     @pytest.mark.parametrize("mean", [1e-3, 0.1, 0.9, 1.0, 5.0, 20.0])
     def test_inverse_cdf_matches_scipy(self, mean, share):
         # share = 1 is the zero-truncated law, the others the given-live laws.
-        ref = live_cdf(mean, share)
-        # A uniform within rounding of a boundary of the reference may fall
-        # either side of it; every other uniform must get the same count.  A
-        # boundary at 0 is exact, and the two uniforms next to 1 always sit
-        # within rounding of the reference's last boundary, 1.
-        near = (ref > 0.0) & (np.abs(FIXED_UNIFORMS[:, None] - ref) <= 1e-14)
-        u = FIXED_UNIFORMS[~near.any(axis=1)]
-        assert u.size >= FIXED_UNIFORMS.size - 3
-        counts = _inverse_cdf(u, _live_table(mean, share))
-        assert np.array_equal(counts, np.searchsorted(ref, u, side="right"))
+        assert_inverts_like(_live_table(mean, share), live_cdf(mean, share))
+
+    @pytest.mark.parametrize("share", [1.0, 0.9, 0.5, 0.1])
+    @pytest.mark.parametrize("mean", [1e-3, 0.9, 20.0])
+    def test_cells_are_half_the_scipy_pmf_in_each_basis(self, mean, share):
+        law = _poisson_source(mean, 1.0, share)
+        assert law.p_live == pytest.approx(scistats.poisson.sf(0, mean), rel=1e-14)
+        ref = live_pmf(mean, share, law.pmf.size)
+        assert np.allclose(laid_out(law.cells), np.r_[ref, ref] / 2, rtol=1e-12, atol=1e-300)
+        # The table ends where less than 2^-53 of the mass is left.
+        assert 1.0 - live_cdf(mean, share)[law.pmf.size - 1] < 2.0**-53
 
     @pytest.mark.parametrize("mean, share", [(0.0, 0.3), (5e-324, 0.5), (20.0, 0.0), (1.0, 1.0)])
     def test_table_runs_to_one_at_the_edges(self, mean, share):
-        cdf, head = _live_table(mean, share)
-        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
-        assert 1 <= head <= cdf.size and not cdf.flags.writeable
+        pmf = _live_table(mean, share)
+        assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-15)
+        assert np.all(pmf >= 0.0) and not pmf.flags.writeable
         if share == 1.0:
-            assert cdf[0] == 0.0  # a live pulse holds a photon
+            assert pmf[0] == 0.0  # a live pulse holds a photon
         elif mean * share == 0.0 < share:
             # One photon, in the share with probability share.
-            assert np.allclose(cdf, [1.0 - share, 1.0], rtol=1e-15)
+            assert np.allclose(pmf, [1.0 - share, share], rtol=1e-15)
 
 
 class TestDimRegime:
@@ -418,24 +464,91 @@ class TestCompleteExpectations:
 
 
 class _TwoPhotonResend:
-    """A generator whose resent photons survive twice: breaks the resend rule."""
+    """A generator whose resent photons arrive twice: breaks the resend rule.
 
-    def __init__(self, rng):
+    Every binomial draw at the resend survival returns twice its trials.
+    """
+
+    def __init__(self, rng, survival):
         self._rng = rng
+        self._survival = survival
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
 
     def binomial(self, n, p, size=None):
-        if np.isscalar(n) and n == 1:
-            return np.full(size, 2)
+        if p == self._survival:
+            return 2 * np.asarray(n)
         return self._rng.binomial(n, p, size)
 
 
 def test_resend_rule_is_checked_without_assert():
-    cfg = make_config(InterceptResend(eps=1.0), n_pulses=1000)
+    # eta = 0.7 is the survival of intercept-resend's fresh photons, and no
+    # other draw of this session is at that probability.
+    cfg = make_config(InterceptResend(eps=1.0), eta=0.7, n_pulses=1000)
     with pytest.raises(RuntimeError, match="more than one photon"):
-        _simulate_batch(cfg, _TwoPhotonResend(shard_rng(1, 0)), 1000)
+        _simulate_batch(cfg, _TwoPhotonResend(shard_rng(1, 0), 0.7), 1000)
+    # The splitter hybrid resends over the lossless tapped line.
+    cfg = make_config(BsInterceptResend(t=0.5, d=0.1), n_pulses=1000)
+    with pytest.raises(RuntimeError, match="more than one photon"):
+        _simulate_batch(cfg, _TwoPhotonResend(shard_rng(1, 0), 1.0), 1000)
+
+
+class TestKernels:
+    def test_every_attack_class_has_a_kernel(self):
+        assert set(_KERNELS) == {None, *ATTACKS.values()}
+
+    def test_an_unknown_attack_is_refused(self):
+        @dataclasses.dataclass(frozen=True)
+        class Unknown(OptimalIncoherent):
+            pass
+
+        with pytest.raises(TypeError, match="unsupported attack"):
+            run_session(make_config(Unknown(d=0.1), n_pulses=100))
+
+    def test_breidbart_resend_law_is_the_same_for_every_signal(self):
+        law = laid_out(_breidbart_outcomes())
+        for basis in (0, 1):
+            for bit in (0, 1):
+                assert np.allclose(_breidbart_law(basis, bit), law, atol=1e-15)
+        right, right_error, wrong, wrong_error = law
+        assert right + right_error == pytest.approx(IR_MAX_GUESS_PROB, abs=1e-15)
+        # A resent Breidbart state is read wrongly a quarter of the time.
+        assert right_error + wrong_error == pytest.approx(0.25, abs=1e-15)
+        assert math.fsum(law) == pytest.approx(1.0, abs=1e-15)
+
+
+#: The seven session variants at mu = 1, eta = t = 0.9.
+VARIANTS = {
+    "none": (None, "single_result"),
+    "ir": (InterceptResend(eps=0.5), "single_result"),
+    "opt": (OptimalIncoherent(d=0.1), "single_result"),
+    "bs-ir": (BsInterceptResend(t=0.9, d=0.1), "single_result"),
+    "bs-ir-majority": (BsInterceptResend(t=0.9, d=0.1), "majority"),
+    "bs-opt": (BsOptimal(t=0.9, d=0.1), "single_result"),
+    "pns": (Pns(kappa=kappa_for_channel(1.0, 0.9).kappa, d=0.05), "single_result"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_a_session_of_2_to_the_40_pulses_keeps_every_rate(variant):
+    attack, rule = VARIANTS[variant]
+    cfg = make_config(attack, mu=1.0, eta=0.9, n_pulses=2**40, seed=3, scenario_a_rule=rule)
+    expected = analytic_expectations(cfg)
+    for stats in (run_session(cfg), run_sharded(cfg, 3)):
+        assert sum(stats.bob_count_hist) == cfg.n_pulses
+        if stats.scenario_counts is not None:
+            assert sum(stats.scenario_counts.values()) == cfg.n_pulses
+        for rate, value, stderr in (
+            ("qber", stats.qber, stats.qber_stderr),
+            ("eve_accuracy", stats.eve_accuracy, stats.eve_accuracy_stderr),
+            ("nonempty_rate", stats.nonempty_rate, stats.nonempty_stderr),
+            ("coincidence_rate", stats.coincidence_rate, stats.coincidence_stderr),
+        ):
+            if stderr == 0.0:  # no errors or no eavesdropper: exact
+                assert value == expected[rate], (rate, value)
+            else:
+                assert abs(value - expected[rate]) < 5.5 * stderr, (rate, value, expected[rate])
 
 
 class TestPnsSessions:
@@ -484,6 +597,10 @@ class TestConfigValidation:
         optics = OpticalConfig(mu=1.0)
         with pytest.raises(ValueError):
             SessionConfig(optics=optics, attack=None, n_pulses=0, seed=1)
+        # A batch's counts are int64.
+        SessionConfig(optics=optics, attack=None, n_pulses=2**63 - 1, seed=1)
+        with pytest.raises(ValueError, match=r"n_pulses must be in \[1, 2\^63 - 1\]"):
+            SessionConfig(optics=optics, attack=None, n_pulses=2**63, seed=1)
         with pytest.raises(ValueError):
             SessionConfig(optics=optics, attack=None, n_pulses=10, seed=-1)
         with pytest.raises(ValueError):

@@ -36,25 +36,25 @@ VARIANTS = {
 }
 
 SESSION_DIGESTS = {
-    ("none", 1): "b61e3ce6e6c6436cccbcde196e56e53b23a542b975b2ed5f87b9808d034c5f7c",
-    ("none", 8): "890dad09ecc1d5653bda58d2f52edce626eaea76bc49fde7e0ff776e153932eb",
-    ("ir", 1): "3cce914e9119e003f1f7acab123b5b2f91193559c5973d1a3e556ca5122422d8",
-    ("ir", 8): "9c7b2def4c9136fd1c0f63574b6f71df3328039cd4b893ec936a988127b01296",
-    ("opt", 1): "f604f20533c109c1d380e76594ff3e430329517999e4ad19b60b538d5283357e",
-    ("opt", 8): "9311e2abb9f0be94f6e63d52cc5d57820436357874aeac343bf7d930d95dd22b",
-    ("bs-ir", 1): "9dfd1a3d5ac1543b6b37165017c19dbc85509d62d3d9b940d82ddb7ea855d942",
-    ("bs-ir", 8): "9738055f659207a0d5b90c5cb1cbdc853e4b4561b6b8240eb165c71bc24ecf0d",
-    ("bs-ir-majority", 1): "3e8e3d43168f55773753f1ed995bb719f5ffc1a8f0f1f81b52cb7909ad51f87d",
-    ("bs-ir-majority", 8): "8f35bdba85ee196e7eef12f90fd9abf80e239ae8180c56c2b72e6c43a2fbbbd9",
-    ("bs-opt", 1): "7937cb3680e8dfb4c8253f5bde47d1917aef6bf65423f8cf7644193f707df9b4",
-    ("bs-opt", 8): "47243d8e31f911b78254ec3c4e04262ebd041f816ed439d72dd0f2a739917991",
-    ("pns", 1): "fd4f03931bb53c5f45f1450844d1cde99726d0c74a6b593ecde624ac18017acd",
-    ("pns", 8): "6eb77d3a737e7bbe39df46039a385fd3f07d9daa592b4497d6027caee8b57146",
+    ("none", 1): "83a9bf9d17a6176aee5905d0446ffa78417bf043771aef3d48dba9a3d8d42429",
+    ("none", 8): "f41c365d9ebb33ddc779fd133d4d5f2272f111710875a5d435bf3a93a64e736e",
+    ("ir", 1): "6fd820100954991d66c5f8793325e733fe09b789e11888f1a73fa332a15cec36",
+    ("ir", 8): "9487b0d04025eb8fbea4bfa725ee131fdfc11d72efab5f96263661a782d75275",
+    ("opt", 1): "09d0fe5356f51113d20d40829e7cc5f3647a18ef80f6f23820df00e8337074c4",
+    ("opt", 8): "7b737157f9f51319b01461eaa8349edd6bf8df2868603a901de6234482f16d71",
+    ("bs-ir", 1): "463fb014e2db0ae60fd68f44bf6c31bfea830d49be990033597e18090ca7814d",
+    ("bs-ir", 8): "95543b9fb882e13c070d7db6f52996f6cae71ad33df5be0f2364f4c7d5259b2c",
+    ("bs-ir-majority", 1): "8c74d2e46c74b7ac6ebcc9144b646dd4eb0b91e334ce2e028a2a089cec17ec24",
+    ("bs-ir-majority", 8): "55121318548f366f10697546842d82c28369ddbfeff1e2a7cc54ac9bf803318e",
+    ("bs-opt", 1): "674817858327c0c7b8b5a37b049e5e2c7ede2359be6648028e3198f8f517592a",
+    ("bs-opt", 8): "27f26ee80b4648090e9b892eb2ae051fc4b28fb2d3af8f21d7c6590c544c14e1",
+    ("pns", 1): "9b06d9cfcdc13166c3f5c198938f35ab777d70fdd66c029d7a0eb30db5bfb217",
+    ("pns", 8): "e7e6afc549a18d54e85ca89ed951c0a84d94debcfd38ae88c6f17dd0f9c6d359",
 }
 
 SINGLE_PHOTON_DIGESTS = {
-    "simulate_ir_attack": "ec59d7b2b8dd2e36b1c27ecb5dc1ee6def338fd6a104bedcfa6e70b4accb20fa",
-    "simulate_opt_attack": "10be6f23399df181a7561f4577f7afa8ec89a00b09928f94a885228b03f4fcca",
+    "simulate_ir_attack": "833f3819f859e23a75064456b010f6d37c5222c1c27879d016111a508c74b94e",
+    "simulate_opt_attack": "494dc5b8fb56b638e3106a605d9ff07aadc9341ffd838846efe7e43f7bf16142",
 }
 
 
