@@ -1,10 +1,14 @@
 """Command-line front end: threshold tables, information-curve sweeps,
 Monte Carlo sessions and self-verification.
 
-Every command emits a run manifest (command, resolved parameters, seed, tool
-version, UTC timestamp) as a single JSON line on stderr, and optionally to a
-file via ``--manifest``.  Stdout carries only the requested output, so JSON
-and CSV results are byte-identical across reruns of the same command.
+Each command computes and returns its result: the body of its JSON document,
+a function that renders its text or CSV lines, and its exit code.  ``main``
+is the one writer.  It emits the run manifest (command, resolved parameters,
+seed, tool version, UTC timestamp) as a single JSON line on stderr, and also
+to a file with ``--manifest``, then writes the output once, to stdout or
+``--output``.  JSON documents open with ``schema_version``, ``command`` and
+``params``.  Stdout carries only the requested output, so JSON and CSV
+results are byte-identical across reruns of the same command.
 Parameter precedence is flags, then ``--config`` JSON file, then defaults;
 one table, ``PARAMS``, gives every command's flags, config keys, types and
 defaults.
@@ -124,12 +128,12 @@ PARAMS: dict[str, tuple[Param, ...]] = {
 }
 
 
-def _emit_manifest(command: str, params: dict, seed: int | None, path: str | None) -> None:
+def _emit_manifest(command: str, params: dict, path: str | None) -> None:
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "params": params,
-        "seed": seed,
+        "seed": params.get("seed"),
         "version": __version__,
         "timestamp_utc": datetime.now(timezone.utc).isoformat().replace("+00:00", "Z"),
     }
@@ -190,65 +194,45 @@ def _merge_params(args: argparse.Namespace, command: str) -> dict:
     return merged
 
 
-def _print_or_write(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_document(payload: dict) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-
-
 # ---------------------------------------------------------------- thresholds
 
 
-def _cmd_thresholds(args: argparse.Namespace) -> int:
-    params = _merge_params(args, "thresholds")
+def _cmd_thresholds(params: dict) -> tuple:
     mu, eta = params["mu"], params["eta"]
     rows = []
     for kind in THRESHOLD_KINDS:
         res = threshold(kind, mu, eta)
         rows.append((kind, res.max_d_ab, res.break_possible))
-    break_flag = any(flag for _, _, flag in rows)
     eta_star = full_break_transmission(mu)
-    _emit_manifest("thresholds", params, None, args.manifest)
+    body = {
+        "thresholds": {kind: value for kind, value, _ in rows},
+        "eta_star": eta_star,
+        "break_possible": any(flag for _, _, flag in rows),
+    }
 
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "thresholds",
-            "params": params,
-            "thresholds": {kind: value for kind, value, _ in rows},
-            "eta_star": eta_star,
-            "break_possible": break_flag,
-        }
-        _print_or_write(_json_document(payload), args.output)
-    elif args.format == "csv":
-        lines = ["quantity,max_d_ab,break_possible"]
-        for kind, value, flag in rows:
-            lines.append(f"{kind},{value!r},{str(flag).lower()}")
-        lines.append(f"eta_star,{eta_star!r},")
-        _print_or_write("\n".join(lines) + "\n", args.output)
-    else:
-        lines = [f"tolerable error rates at mu={mu} eta={eta}", ""]
-        lines.append(f"{'strategy':<10}{'max_d_ab':>12}")
+    def lines(fmt: str) -> list[str]:
+        if fmt == "csv":
+            out = ["quantity,max_d_ab,break_possible"]
+            for kind, value, flag in rows:
+                out.append(f"{kind},{value!r},{str(flag).lower()}")
+            out.append(f"eta_star,{eta_star!r},")
+            return out
+        out = [f"tolerable error rates at mu={mu} eta={eta}", ""]
+        out.append(f"{'strategy':<10}{'max_d_ab':>12}")
         for kind, value, flag in rows:
             note = "  (total break possible)" if flag else ""
-            lines.append(f"{kind:<10}{value:>12.6f}{note}")
-        lines.append("")
-        lines.append(f"eta_star   {eta_star:>12.6f}  (full-break transmission)")
-        _print_or_write("\n".join(lines) + "\n", args.output)
-    return 0
+            out.append(f"{kind:<10}{value:>12.6f}{note}")
+        out.append("")
+        out.append(f"eta_star   {eta_star:>12.6f}  (full-break transmission)")
+        return out
+
+    return body, lines, 0
 
 
 # --------------------------------------------------------------------- sweep
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    params = _merge_params(args, "sweep")
+def _cmd_sweep(params: dict) -> tuple:
     d_min, d_max, steps = params["d_min"], params["d_max"], params["steps"]
     if not d_min < d_max or not 2 <= steps <= MAX_SWEEP_STEPS:
         raise ValueError(
@@ -260,32 +244,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         info_curve_point(kind, float(d), params["mu"], params["eta"])
         for d in np.linspace(d_min, d_max, steps)
     ]
+    body = {
+        "rows": [
+            {
+                "d_ab": p.d_ab,
+                "i_ab_bits": p.i_ab_bits,
+                "i_ae_bits": p.i_ae_bits,
+                "feasible": p.feasible,
+            }
+            for p in rows
+        ],
+    }
 
-    _emit_manifest("sweep", params, None, args.manifest)
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "sweep",
-            "params": params,
-            "rows": [
-                {
-                    "d_ab": p.d_ab,
-                    "i_ab_bits": p.i_ab_bits,
-                    "i_ae_bits": p.i_ae_bits,
-                    "feasible": p.feasible,
-                }
-                for p in rows
-            ],
-        }
-        _print_or_write(_json_document(payload), args.output)
-    else:
-        lines = ["d_ab,i_ab_bits,i_ae_bits,feasible"]
+    def lines(fmt: str) -> list[str]:
+        out = ["d_ab,i_ab_bits,i_ae_bits,feasible"]
         for p in rows:
-            lines.append(
+            out.append(
                 f"{p.d_ab!r},{p.i_ab_bits!r},{p.i_ae_bits!r},{str(p.feasible).lower()}"
             )
-        _print_or_write("\n".join(lines) + "\n", args.output)
-    return 0
+        return out
+
+    return body, lines, 0
 
 
 # ------------------------------------------------------------------ simulate
@@ -320,8 +299,7 @@ def _format_check(stats, expected: dict) -> list[dict]:
     return checks
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    params = _merge_params(args, "simulate")
+def _cmd_simulate(params: dict, check: bool) -> tuple:
     kind, mu, eta = params["attack"], params["mu"], params["eta"]
     attack = None if kind == "none" else _CLI_ATTACKS[kind].from_params(params, mu, eta)
     config = SessionConfig(
@@ -346,48 +324,40 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
         params.update(dataclasses.asdict(attack))  # record a derived kappa
-    _emit_manifest("simulate", params, config.seed, args.manifest)
 
     stats = run_sharded(config, n_shards)
-    checks = _format_check(stats, analytic_expectations(config)) if args.check else None
+    checks = _format_check(stats, analytic_expectations(config)) if check else None
+    body = {"stats": stats.to_dict()}
+    if checks is not None:
+        body["check"] = checks
 
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "simulate",
-            "params": params,
-            "stats": stats.to_dict(),
-        }
-        if checks is not None:
-            payload["check"] = checks
-        _print_or_write(_json_document(payload), args.output)
-    else:
-        lines = [f"session: attack={kind} mu={config.optics.mu} eta={config.optics.eta} "
-                 f"pulses={config.n_pulses} seed={config.seed} shards={n_shards}"]
-        lines.append(f"  sifted_count     {stats.sifted_count}")
-        lines.append(f"  qber             {stats.qber:.6f} ± {stats.qber_stderr:.6f}")
-        lines.append(f"  eve_accuracy     {stats.eve_accuracy:.6f} ± {stats.eve_accuracy_stderr:.6f}")
-        lines.append(f"  nonempty_rate    {stats.nonempty_rate:.6f} ± {stats.nonempty_stderr:.6f}")
-        lines.append(f"  coincidence_rate {stats.coincidence_rate:.6f} ± {stats.coincidence_stderr:.6f}")
+    def lines(fmt: str) -> list[str]:
+        out = [f"session: attack={kind} mu={config.optics.mu} eta={config.optics.eta} "
+               f"pulses={config.n_pulses} seed={config.seed} shards={n_shards}"]
+        out.append(f"  sifted_count     {stats.sifted_count}")
+        out.append(f"  qber             {stats.qber:.6f} ± {stats.qber_stderr:.6f}")
+        out.append(f"  eve_accuracy     {stats.eve_accuracy:.6f} ± {stats.eve_accuracy_stderr:.6f}")
+        out.append(f"  nonempty_rate    {stats.nonempty_rate:.6f} ± {stats.nonempty_stderr:.6f}")
+        out.append(f"  coincidence_rate {stats.coincidence_rate:.6f} ± {stats.coincidence_stderr:.6f}")
         if stats.scenario_counts is not None:
-            lines.append(f"  scenario_counts  {stats.scenario_counts}")
+            out.append(f"  scenario_counts  {stats.scenario_counts}")
         if checks is not None:
-            lines.append("  check (analytic vs empirical):")
+            out.append("  check (analytic vs empirical):")
             for c in checks:
                 sigma = c["sigma_distance"]
-                lines.append(
+                out.append(
                     f"    {c['metric']:<17} {c['analytic']:.6f} vs {c['empirical']:.6f} "
                     + ("(no spread)" if sigma is None else f"({sigma:.2f} sigma)")
                 )
-        _print_or_write("\n".join(lines) + "\n", args.output)
-    return 0
+        return out
+
+    return body, lines, 0
 
 
 # -------------------------------------------------------------------- verify
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    _merge_params(args, "verify")  # verify reads no parameter: any config key is unknown
+def _cmd_verify(params: dict) -> tuple:
     rng = np.random.default_rng(20240814)
     failures = 0
     checks: list[dict] = []
@@ -446,32 +416,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     report("coincidence closed form vs series", worst)
 
-    _emit_manifest("verify", {}, None, args.manifest)
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "verify",
-            "checks": checks,
-            "pass": failures == 0,
-        }
-        _print_or_write(_json_document(payload), args.output)
-    else:
-        lines = [
+    def lines(fmt: str) -> list[str]:
+        out = [
             f"{'PASS' if c['pass'] else 'FAIL'}  {c['name']}: "
             f"max deviation {c['max_deviation']:.3e}"
             for c in checks
         ]
-        lines.append(
+        out.append(
             "verify: " + ("PASS" if failures == 0 else f"FAIL ({failures} checks)")
         )
-        _print_or_write("\n".join(lines) + "\n", args.output)
-    return 0 if failures == 0 else 1
+        return out
+
+    body = {"checks": checks, "pass": failures == 0}
+    return body, lines, 0 if failures == 0 else 1
 
 
 # ---------------------------------------------------------------------- main
 
 
-#: Each command's handler, one-line help and output formats (the first is the default).
+#: Each command's handler, one-line help and output formats (the first is the
+#: default).  A handler takes the merged parameters (and ``simulate`` its
+#: ``--check`` flag) and returns its JSON body, a function rendering its text or
+#: CSV lines for a format, and its exit code.
 _COMMANDS = {
     "thresholds": (
         _cmd_thresholds, "Tolerable error rates for all strategies.", ("table", "json", "csv"),
@@ -512,8 +478,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command = args.command
     try:
-        return _COMMANDS[args.command][0](args)
+        params = _merge_params(args, command)
+        handler = _COMMANDS[command][0]
+        # simulate also records a derived kappa in params.
+        if command == "simulate":
+            body, lines, code = handler(params, args.check)
+        else:
+            body, lines, code = handler(params)
+        _emit_manifest(command, params, args.manifest)
+        if args.format == "json":
+            # verify reads no parameter, and its document has no params block.
+            head = {"schema_version": SCHEMA_VERSION, "command": command}
+            if PARAMS[command]:
+                head["params"] = params
+            text = json.dumps({**head, **body}, indent=2, allow_nan=False) + "\n"
+        else:
+            text = "\n".join(lines(args.format)) + "\n"
+        if args.output:
+            with open(args.output, "w", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

@@ -652,13 +652,6 @@ def analytic_expectations(config: SessionConfig) -> dict[str, float | None]:
     return config.attack.expectations(mu, eta, config.scenario_a_rule)
 
 
-def scenario_expectations(config: SessionConfig) -> dict[str, float] | None:
-    """Expected routing-outcome fractions for beam-splitter attacks, else None."""
-    if config.attack is None:
-        return None
-    return config.attack.scenario_fractions(config.optics.mu)
-
-
 @dataclass(frozen=True)
 class AttackSample:
     """Monte Carlo estimates of a single-photon attack's guess rate and disturbance."""

@@ -22,7 +22,6 @@ PRL 85, 1330 (2000).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from collections.abc import Mapping
@@ -34,7 +33,6 @@ from .pulse_optics import (
     SERIES_CUTOFF,
     coincidence_prob,
     poisson_pmf,
-    scenario_probs,
 )
 from .single_photon import IR_MAX_GUESS_PROB, SQRT2, opt_guess_prob
 
@@ -102,8 +100,7 @@ class Attack:
       so that the information crossing and the linear criterion coincide;
     - ``threshold(mu, eta)``: the largest tolerable observed error rate;
     - ``expectations(mu, eta, rule)``: the per-pulse session rates
-      ``qber``, ``eve_accuracy``, ``nonempty_rate``, ``coincidence_rate``;
-    - ``scenario_fractions(mu)``: the routing-outcome fractions of a tap.
+      ``qber``, ``eve_accuracy``, ``nonempty_rate``, ``coincidence_rate``.
 
     ``uses_channel`` is false for the single-photon attacks, whose curve and
     threshold do not depend on ``mu`` and ``eta``.
@@ -124,9 +121,6 @@ class Attack:
         if missing:
             raise ValueError(f"attack {cls.name!r} requires {', '.join(missing)}")
         return cls(**{key: float(params[key]) for key in cls.limits})
-
-    def scenario_fractions(self, mu: float) -> dict[str, float] | None:
-        return None
 
 
 @dataclass(frozen=True)
@@ -208,9 +202,6 @@ class _SplitterAttack(Attack):
             "coincidence_rate": coincidence_prob(self.t, mu),
         }
 
-    def scenario_fractions(self, mu: float) -> dict[str, float]:
-        return dataclasses.asdict(scenario_probs(mu, self.t))
-
 
 @dataclass(frozen=True)
 class BsInterceptResend(_SplitterAttack):
@@ -271,29 +262,44 @@ class BsInterceptResend(_SplitterAttack):
 
 @dataclass(frozen=True)
 class BsOptimal(_SplitterAttack):
-    """Beam-splitter tap plus probe attack of strength ``d`` on untapped pulses."""
+    """Beam-splitter tap plus probe attack of strength ``d`` on untapped pulses.
+
+    Its forms are those of a probe on a share ``s`` of the detected pulses
+    whose other pulses yield the bit without errors; here ``s`` is the
+    untapped share ``e^(-mu(1-t))``.  :class:`Pns` reuses them.
+    """
 
     name: ClassVar[str] = "bs_opt"
     limits: ClassVar = {"t": UNIT, "d": D}
 
     @staticmethod
-    def _guess(dilution: float, d: float) -> float:
-        return 1.0 - dilution * (0.5 - math.sqrt(d * (1.0 - d)))
+    def _guess(share: float, d: float) -> float:
+        return 1.0 - share * (0.5 - math.sqrt(d * (1.0 - d)))
+
+    @staticmethod
+    def _guess_on_share(d_ab: float, share: float) -> float:
+        d = 0.5 if d_ab >= 0.5 * share else d_ab / share
+        return BsOptimal._guess(share, d)
+
+    @staticmethod
+    def _predict_on_share(share: float, d: float) -> AttackPrediction:
+        return AttackPrediction(guess_prob=BsOptimal._guess(share, d), d_ab=d * share)
+
+    @staticmethod
+    def _threshold_on_share(share: float) -> float:
+        return (2.0 - SQRT2) / 4.0 * share
 
     @staticmethod
     def guess_at(d_ab: float, mu: float, eta: float) -> float:
-        dilution = math.exp(-mu * (1.0 - eta))
-        d = 0.5 if d_ab >= 0.5 * dilution else d_ab / dilution
-        return BsOptimal._guess(dilution, d)
+        return BsOptimal._guess_on_share(d_ab, math.exp(-mu * (1.0 - eta)))
 
     @staticmethod
     def threshold(mu: float, eta: float) -> ThresholdResult:
-        return ThresholdResult((2.0 - SQRT2) / 4.0 * math.exp(-mu * (1.0 - eta)))
+        return ThresholdResult(BsOptimal._threshold_on_share(math.exp(-mu * (1.0 - eta))))
 
     def predict(self, mu: float) -> AttackPrediction:
         MU.check("mu", mu)
-        dilution = math.exp(-mu * (1.0 - self.t))
-        return AttackPrediction(guess_prob=self._guess(dilution, self.d), d_ab=self.d * dilution)
+        return self._predict_on_share(math.exp(-mu * (1.0 - self.t)), self.d)
 
 
 @dataclass(frozen=True)
@@ -301,7 +307,9 @@ class Pns(Attack):
     """Photon-number splitting with single-pulse blocking fraction ``kappa``.
 
     Multi-photon pulses lose one photon to a perfect tap; surviving
-    single-photon pulses are probed at strength ``d``.
+    single-photon pulses are probed at strength ``d``.  So this is the probe
+    of :class:`BsOptimal` on the kept single photons' share of the
+    non-empty delivered pulses (see :meth:`_share`).
     """
 
     kappa: float
@@ -322,34 +330,34 @@ class Pns(Attack):
         return super().from_params(params, mu, eta)
 
     @staticmethod
-    def _shares(mu: float, kappa: float) -> tuple[float, float, float]:
-        """Shares of multi-photon, kept single-photon and all non-empty delivered pulses."""
+    def _share(mu: float, kappa: float) -> float:
+        """Kept single photons' share of the non-empty delivered pulses.
+
+        Kept singles ``(1-kappa) mu e^-mu`` against multi-photon pulses
+        ``1 - e^-mu - mu e^-mu``, both divided by ``mu`` so that neither
+        underflows at the smallest ``mu``.  A ``kappa`` past 1 blocks every
+        single, and no kept single leaves a share of 0.
+        """
         e_mu = math.exp(-mu)
-        return 1.0 - e_mu * (1.0 + mu), (1.0 - kappa) * mu * e_mu, 1.0 - e_mu * (1.0 + mu * kappa)
+        kept = (1.0 - min(kappa, 1.0)) * e_mu
+        if kept == 0.0:
+            return 0.0
+        return kept / (-math.expm1(-mu) / mu - e_mu + kept)
 
     @staticmethod
     def guess_at(d_ab: float, mu: float, eta: float) -> float:
-        cal = kappa_for_channel(mu, eta)
-        if cal.break_possible:
-            return 1.0
-        p_multi, p_single_kept, denom = Pns._shares(mu, cal.kappa)
-        scaled = d_ab * denom
-        d = 0.5 if scaled >= 0.5 * p_single_kept else scaled / p_single_kept
-        return min(1.0, (p_multi + p_single_kept * opt_guess_prob(d)) / denom)
+        return BsOptimal._guess_on_share(d_ab, Pns._share(mu, kappa_for_channel(mu, eta).kappa))
 
     @staticmethod
     def threshold(mu: float, eta: float) -> ThresholdResult:
-        bracket = (1.0 + mu) * math.exp(-mu) - math.exp(-eta * mu)
-        if bracket <= 0.0:
-            return ThresholdResult(0.0, break_possible=True)
-        return ThresholdResult((2.0 - SQRT2) / 4.0 * bracket / (1.0 - math.exp(-eta * mu)))
+        cal = kappa_for_channel(mu, eta)
+        share = Pns._share(mu, cal.kappa)
+        return ThresholdResult(BsOptimal._threshold_on_share(share), cal.break_possible)
 
     def predict(self, mu: float) -> AttackPrediction:
         """Multi-photon pulses yield the bit without errors; kept singles are probed."""
         MU.check("mu", mu)
-        p_multi, p_single_kept, denom = self._shares(mu, self.kappa)
-        guess = (p_multi + p_single_kept * opt_guess_prob(self.d)) / denom
-        return AttackPrediction(guess_prob=guess, d_ab=p_single_kept * self.d / denom)
+        return BsOptimal._predict_on_share(self._share(mu, self.kappa), self.d)
 
     def expectations(self, mu: float, eta: float, rule: str) -> dict:
         pred = self.predict(mu)
@@ -364,7 +372,7 @@ class Pns(Attack):
         return {
             "qber": pred.d_ab,
             "eve_accuracy": pred.guess_prob,
-            "nonempty_rate": self._shares(mu, self.kappa)[2],
+            "nonempty_rate": -math.expm1(-mu) - self.kappa * mu * e_mu,
             "coincidence_rate": coincidence,
         }
 

@@ -116,21 +116,21 @@ def scenario_probs(mu: float, t: float) -> ScenarioProbs:
 
 
 @functools.lru_cache(maxsize=None)
-def _photon_numbers(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The photon numbers ``1..n_max`` as floats and their ``lgamma(n + 1)`` row."""
-    n = np.arange(1, n_max + 1, dtype=float)
-    log_factorial = np.array([math.lgamma(k + 1) for k in range(1, n_max + 1)])
+def _photon_numbers() -> tuple[np.ndarray, np.ndarray]:
+    """The photon numbers ``1..SERIES_CUTOFF`` as floats, and their ``lgamma(n + 1)``."""
+    n = np.arange(1, SERIES_CUTOFF + 1, dtype=float)
+    log_factorial = np.array([math.lgamma(k + 1) for k in range(1, SERIES_CUTOFF + 1)])
     n.flags.writeable = log_factorial.flags.writeable = False
     return n, log_factorial
 
 
-def scenario_probs_series(mu, t, n_max: int = SERIES_CUTOFF) -> ScenarioProbs:
+def scenario_probs_series(mu, t) -> ScenarioProbs:
     """Routing-outcome probabilities by direct photon-number enumeration.
 
     Sums the Poisson weights ``exp(n log mu - mu - lgamma(n + 1))`` against
     the exact binomial routing terms ``t^n`` (all photons to the receiver)
-    and ``(1-t)^n`` (all to the tap) over ``n = 1..n_max``; serves as the
-    independent oracle for :func:`scenario_probs`.  ``mu`` and ``t`` may be
+    and ``(1-t)^n`` (all to the tap) over ``n = 1..SERIES_CUTOFF``; serves as
+    the independent oracle for :func:`scenario_probs`.  ``mu`` and ``t`` may be
     arrays: they broadcast against each other, and each field of the result
     then holds an array of their common shape.  Scalars give floats.
     """
@@ -139,7 +139,7 @@ def scenario_probs_series(mu, t, n_max: int = SERIES_CUTOFF) -> ScenarioProbs:
     for name, values, domain in (("mu", mu, MEAN), ("t", t, UNIT)):
         for value in (values.min(), values.max()):
             domain.check(name, float(value))
-    n, log_factorial = _photon_numbers(n_max)
+    n, log_factorial = _photon_numbers()
     mu_n = mu[..., None]
     with np.errstate(divide="ignore"):  # mu = 0: log 0 = -inf, every weight 0
         log_mu = np.log(mu_n)
@@ -168,16 +168,14 @@ def bob_count_pmf_after_splitter(mu: float, t: float, i: int) -> float:
     return poisson_pmf(mu * t, i)
 
 
-def bob_count_pmf_series(
-    mu: float, t: float, i: int, n_max: int = SERIES_CUTOFF
-) -> float:
+def bob_count_pmf_series(mu: float, t: float, i: int) -> float:
     """Receiver-side photon distribution by exact marginalization over the source."""
     MEAN.check("mu", mu)
     UNIT.check("t", t)
     if i < 0:
         raise ValueError(f"i must be >= 0, got {i!r}")
     return sum(
-        poisson_pmf(mu, n) * split_pmf(n, t, i) for n in range(i, n_max + 1)
+        poisson_pmf(mu, n) * split_pmf(n, t, i) for n in range(i, SERIES_CUTOFF + 1)
     )
 
 
@@ -195,9 +193,7 @@ def coincidence_prob(eta: float, mu: float) -> float:
     return 0.5 * (1.0 + math.exp(-em) - 2.0 * math.exp(-em / 2.0))
 
 
-def coincidence_prob_series(
-    eta: float, mu: float, n_max: int = SERIES_CUTOFF
-) -> float:
+def coincidence_prob_series(eta: float, mu: float) -> float:
     """Coincidence probability by summing over arriving photon numbers.
 
     For ``n`` arriving photons the chance that both detectors fire is
@@ -208,6 +204,6 @@ def coincidence_prob_series(
     UNIT.check("eta", eta)
     em = eta * mu
     total = 0.0
-    for n in range(2, n_max + 1):
+    for n in range(2, SERIES_CUTOFF + 1):
         total += poisson_pmf(em, n) * (1.0 - 2.0 ** (1 - n))
     return 0.5 * total

@@ -421,3 +421,51 @@ class TestSweepCrossings:
             0.5 * (a[0] + b[0]) for a, b in zip(gaps, gaps[1:]) if a[1] > 0 >= b[1]
         )
         assert abs(crossing - threshold("pns", 1.0, 0.9).max_d_ab) < 1e-3
+
+
+#: One run of each command, taken in each of its formats.
+WRITER_RUNS = {
+    "thresholds": (("--mu", "1", "--eta", "0.9"), ("table", "json", "csv")),
+    "sweep": (("--strategy", "pns", "--mu", "1", "--eta", "0.9", "--steps", "5"), ("csv", "json")),
+    "simulate": (
+        ("--attack", "pns", "--mu", "1", "--eta", "0.9", "--pulses", "1000", "--check"),
+        ("text", "json"),
+    ),
+    "verify": ((), ("text", "json")),
+}
+
+
+class TestOneWriter:
+    @pytest.mark.parametrize(
+        "command, fmt",
+        [(command, fmt) for command, (_, fmts) in WRITER_RUNS.items() for fmt in fmts],
+    )
+    def test_output_file_holds_the_stdout_bytes(self, tmp_path, command, fmt):
+        argv = (command, *WRITER_RUNS[command][0], "--format", fmt)
+        printed = run_cli(*argv).stdout
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--output", str(out)).stdout == b""
+        assert out.read_bytes() == printed
+        if fmt == "json":
+            head = list(json.loads(printed).items())[:2]
+            assert head == [("schema_version", "1"), ("command", command)]
+
+
+PNS_SESSION = ("simulate", "--attack", "pns", "--pulses", "100", "--check")
+
+
+class TestFaintSources:
+    @pytest.mark.parametrize("argv", [
+        (*PNS_SESSION, "--mu", "1e-17", "--eta", "0.9"),
+        (*PNS_SESSION, "--mu", "5e-324", "--eta", "0.9"),
+        (*PNS_SESSION, "--mu", "1e-17", "--eta", "0"),
+        ("sweep", "--strategy", "pns", "--mu", "1e-17", "--eta", "0.9"),
+    ])
+    def test_pns_runs_without_dividing_by_zero(self, argv):
+        json.loads(run_cli(*argv, "--format", "json").stdout, parse_constant=pytest.fail)
+
+    def test_pns_threshold_is_the_single_photon_one_without_a_break(self):
+        text = run_cli("thresholds", "--mu", "1e-17", "--eta", "0.9").stdout.decode()
+        assert [line.split() for line in text.splitlines() if line.startswith("pns")] == [
+            ["pns", "0.146447"]
+        ]

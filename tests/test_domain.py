@@ -39,10 +39,6 @@ def message(name, interval, value):
     return f"{name} must be finite and in {interval}, got {value!r}"
 
 
-def scenario_fractions(mu):
-    return pa.BsOptimal(t=0.5, d=0.1).scenario_fractions(mu)
-
-
 def probe_model(disturbance):
     fidelity, ratio = 1.0 - disturbance, 1.0 - 2.0 * disturbance
     return sp.ProbeModel(fidelity, disturbance, fidelity * ratio, disturbance * ratio)
@@ -79,7 +75,6 @@ LIBRARY = [
     (pa.pns_predict, {"mu": 1.0, "kappa": 0.5, "d": 0.1}, {"mu": MU, "kappa": UNIT, "d": D}),
     (pa.kappa_for_channel, {"mu": 1.0, "eta": 0.9}, LINE),
     (pa.full_break_transmission, {"mu": 1.0}, {"mu": MU}),
-    (scenario_fractions, {"mu": 1.0}, {"mu": MEAN}),
     (security.phi, {"z": 0.5}, {"z": Z}),
     (security.i_ab, {"d": 0.1}, {"d": D}),
     (security.i_eve, {"p_correct": 0.75}, {"p_correct": P_CORRECT}),

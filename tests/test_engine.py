@@ -10,7 +10,6 @@ from bb84eve.engine import (
     analytic_expectations,
     run_session,
     run_sharded,
-    scenario_expectations,
     shard_rng,
 )
 from bb84eve.pulse_attacks import (
@@ -31,7 +30,13 @@ from bb84eve.engine import (
     _poisson_source,
     _simulate_batch,
 )
-from bb84eve.pulse_optics import SERIES_CUTOFF, OpticalConfig, coincidence_prob, poisson_pmf
+from bb84eve.pulse_optics import (
+    SERIES_CUTOFF,
+    OpticalConfig,
+    coincidence_prob,
+    poisson_pmf,
+    scenario_probs,
+)
 from bb84eve.single_photon import IR_MAX_GUESS_PROB
 
 N_MAX = SERIES_CUTOFF
@@ -242,9 +247,9 @@ class TestDimRegime:
         self.assert_poissonian(stats.bob_count_hist, self.MU * self.ETA)
 
     def test_splitter_scenarios_match_routing_probabilities(self):
-        cfg, stats = self.run(BsOptimal(t=self.ETA, d=0.1))
+        _, stats = self.run(BsOptimal(t=self.ETA, d=0.1))
         self.assert_poissonian(stats.bob_count_hist, self.MU * self.ETA)
-        expected = scenario_expectations(cfg)
+        expected = dataclasses.asdict(scenario_probs(self.MU, self.ETA))
         keys = list(expected)
         observed = [stats.scenario_counts[key] for key in keys]
         assert sum(observed) == self.N
@@ -368,7 +373,7 @@ class TestSplitterSessions:
     def test_scenario_counts_match_routing_probabilities(self):
         cfg = make_config(BsOptimal(t=0.5, d=0.0), n_pulses=1_000_000)
         stats = run_session(cfg)
-        expected = scenario_expectations(cfg)
+        expected = dataclasses.asdict(scenario_probs(cfg.optics.mu, 0.5))
         assert stats.scenario_counts is not None
         assert sum(stats.scenario_counts.values()) == cfg.n_pulses
         for key, p in expected.items():

@@ -97,8 +97,8 @@ def test_single_photon_digest(name):
 # self-check.  These draw no random numbers, so they move only when a value
 # they print moves.
 ANALYSIS_DIGESTS = {
-    ("thresholds", 1.0, 0.9): "709a155b9000328bbf4104d73da61b7b571e199aefc963bddff3d3eedc07d01f",
-    ("thresholds", 0.1, 0.5): "413e122f8a3a5029b00e20027361ef2266a236eff4e3222b5350fb638235906f",
+    ("thresholds", 1.0, 0.9): "df6319fd48a5be043f8260db84f8264eb75406b6c91d346fc3f035ae36aa7a36",
+    ("thresholds", 0.1, 0.5): "c4602e3842ad9cada1e8027fff63fe079c7edc8c6ec8fbd2e56d0eb32581a446",
     ("sweep ir", 1.0, 0.9): "a33e086778e3d64bc424e37a2b138a6ad0362337136ba7bef3e8137966b65420",
     ("sweep ir", 0.1, 0.5): "a33e086778e3d64bc424e37a2b138a6ad0362337136ba7bef3e8137966b65420",
     ("sweep opt", 1.0, 0.9): "e8300ed99e2e512c3304d67350edc53cb7d2b6c28ac3906a4d375da14f0a5152",
@@ -107,8 +107,8 @@ ANALYSIS_DIGESTS = {
     ("sweep bs-ir", 0.1, 0.5): "4e72e775e5062ecbb74f9923a28e0dc2ba951440f6dbbbb1647bbfb7e7518964",
     ("sweep bs-opt", 1.0, 0.9): "2cba9e5919a8d9f96b55500e38f1507f5869f895221db72ddc69177b48c92de4",
     ("sweep bs-opt", 0.1, 0.5): "edf254d092c5b2f956bca1ff89e93e6b4c2fb6df0093c3c0422ebf3d5260934c",
-    ("sweep pns", 1.0, 0.9): "978563c29eeb2dccd8eaa084cf8148e5dada686ef7f7dfeddde25da9797960f2",
-    ("sweep pns", 0.1, 0.5): "643a2d3c5024019e668beb55dc448c1e34691c78fad7548aad94387d071dda11",
+    ("sweep pns", 1.0, 0.9): "96231f39d2f54c2ae47c381c5d72b736f3e7c8ae3bc7479c23df8177d47c7875",
+    ("sweep pns", 0.1, 0.5): "ed6ea46981384375a2a13f921fd9eeb5c7b59cb6d23defb17922e9d529c302c1",
 }
 
 VERIFY_DIGEST = "6d3ca6bb01d47abec94a77010db1d7f895838b4fc179ad33535068c59686d193"

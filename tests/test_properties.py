@@ -62,6 +62,12 @@ def test_pulsed_thresholds_do_not_fall_as_eta_rises(mu, eta_a, eta_b):
 
 
 @PROPERTIES
+@given(mu=mus, eta=etas)
+def test_pns_threshold_breaks_where_the_calibrated_kappa_does(mu, eta):
+    assert threshold("pns", mu, eta).break_possible == kappa_for_channel(mu, eta).break_possible
+
+
+@PROPERTIES
 @given(mu=mus)
 def test_calibrated_kappa_is_one_at_the_full_break_transmission(mu):
     assert abs(kappa_for_channel(mu, full_break_transmission(mu)).kappa - 1.0) < 1e-9
