@@ -76,7 +76,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -215,47 +215,6 @@ class SessionStats:
             "scenario_counts": self.scenario_counts,
             "bob_count_hist": list(self.bob_count_hist),
         }
-
-
-@dataclass
-class _Tally:
-    """Mutable accumulator merged associatively across batches and shards."""
-
-    n_pulses: int = 0
-    sifted: int = 0
-    errors: int = 0
-    eve_correct: int | None = None
-    nonempty: int = 0
-    coincidences: int = 0
-    scenario: dict[str, int] | None = None
-    hist: np.ndarray = field(default_factory=lambda: np.zeros(_HIST_MAX + 1, dtype=np.int64))
-
-    def add(self, other: "_Tally") -> None:
-        self.n_pulses += other.n_pulses
-        self.sifted += other.sifted
-        self.errors += other.errors
-        if other.eve_correct is not None:
-            self.eve_correct = (self.eve_correct or 0) + other.eve_correct
-        self.nonempty += other.nonempty
-        self.coincidences += other.coincidences
-        if other.scenario is not None:
-            if self.scenario is None:
-                self.scenario = dict.fromkeys(other.scenario, 0)
-            for key, val in other.scenario.items():
-                self.scenario[key] += val
-        self.hist += other.hist
-
-    def freeze(self) -> SessionStats:
-        return SessionStats(
-            n_pulses=self.n_pulses,
-            sifted_count=self.sifted,
-            error_count=self.errors,
-            eve_correct_count=self.eve_correct,
-            nonempty_count=self.nonempty,
-            coincidence_count=self.coincidences,
-            scenario_counts=dict(self.scenario) if self.scenario is not None else None,
-            bob_count_hist=tuple(self.hist.tolist()),
-        )
 
 
 #: Terms summed to build a table; for means up to 20 the mass past them is
@@ -481,35 +440,38 @@ def _intercept(
     return arrived[0]
 
 
-def _line(config: SessionConfig, rng, size: int, source: Callable, tally: _Tally) -> _Cells:
+#: What a kernel returns: the receiver's photons per cell, then the attack's
+#: own fields of :class:`SessionStats`, ``error_count``,
+#: ``eve_correct_count`` and ``scenario_counts``.
+_Drawn = tuple[_Cells, int, int | None, dict[str, int] | None]
+
+
+def _line(config: SessionConfig, rng, size: int, source: Callable) -> _Drawn:
     # Live: the receiver's share holds a photon, with probability
     # 1 - e^(-mu eta); cells count its zero-truncated Poisson(mu eta) photons.
-    return _draw_cells(rng, size, source(config.optics.eta, 1.0))
+    return _draw_cells(rng, size, source(config.optics.eta, 1.0)), 0, None, None
 
 
-def _probe(config: SessionConfig, rng, size: int, source: Callable, tally: _Tally) -> _Cells:
+def _probe(config: SessionConfig, rng, size: int, source: Callable) -> _Drawn:
     # The probe leaves the counts alone; it flips only pulses that left the
     # source with a photon, which every sifted pulse did.
-    cells = _line(config, rng, size, source, tally)
-    tally.errors, tally.eve_correct = _probed(rng, _sifted(cells), config.attack.d)
-    return cells
+    cells = _line(config, rng, size, source)[0]
+    return cells, *_probed(rng, _sifted(cells), config.attack.d), None
 
 
-def _intercept_resend(
-    config: SessionConfig, rng, size: int, source: Callable, tally: _Tally
-) -> _Cells:
+def _intercept_resend(config: SessionConfig, rng, size: int, source: Callable) -> _Drawn:
     # Live: the source emitted a photon, so there is a pulse to intercept;
     # cells count the line's share, Poisson(mu eta).
     eta = config.optics.eta
     cells = _draw_cells(rng, size, source(1.0, eta))
     resent = _intercept(rng, cells, [row[:] for row in cells], config.attack.eps, eta)
-    right, tally.errors = _breidbart_resends(rng, resent)
-    tally.eve_correct = right + _coins(rng, _sifted(cells) - resent)
-    return cells
+    right, errors = _breidbart_resends(rng, resent)
+    return cells, errors, right + _coins(rng, _sifted(cells) - resent), None
 
 
-def _tap(config: SessionConfig, rng, size: int, source: Callable, tally: _Tally):
-    """The cells of the receiver's arm, and per cell the pulses whose tap is lit."""
+def _tap(config: SessionConfig, rng, size: int, source: Callable):
+    """The cells of the receiver's arm, per cell the pulses whose tap is lit,
+    and the scenario counts."""
     t = config.attack.t
     # Live: the source emitted a photon, on the receiver's arm or the tap;
     # cells count the arm's share, Poisson(mu t).
@@ -522,20 +484,18 @@ def _tap(config: SessionConfig, rng, size: int, source: Callable, tally: _Tally)
     live = sum(map(sum, cells))
     dark = cells[0][0] + cells[1][0]
     both = sum(map(sum, lit)) - dark
-    tally.scenario = dict(both=both, eve_only=dark, bob_only=live - dark - both, empty=size - live)
-    return cells, lit
+    return cells, lit, dict(both=both, eve_only=dark, bob_only=live - dark - both, empty=size - live)
 
 
-def _bs_opt(config: SessionConfig, rng, size: int, source: Callable, tally: _Tally) -> _Cells:
-    cells, lit = _tap(config, rng, size, source, tally)
+def _bs_opt(config: SessionConfig, rng, size: int, source: Callable) -> _Drawn:
+    cells, lit, scenario = _tap(config, rng, size, source)
     tapped = sum(lit[0][1:])  # both arms lit, sender's basis
-    tally.errors, right = _probed(rng, _sifted(cells) - tapped, config.attack.d)
-    tally.eve_correct = tapped + right
-    return cells
+    errors, right = _probed(rng, _sifted(cells) - tapped, config.attack.d)
+    return cells, errors, tapped + right, scenario
 
 
-def _bs_ir(config: SessionConfig, rng, size: int, source: Callable, tally: _Tally) -> _Cells:
-    cells, lit = _tap(config, rng, size, source, tally)
+def _bs_ir(config: SessionConfig, rng, size: int, source: Callable) -> _Drawn:
+    cells, lit, scenario = _tap(config, rng, size, source)
     tapped = sum(lit[0][1:])
     # Only pulses that reach the receiver whole are attacked; the tapped
     # line is lossless.
@@ -544,13 +504,12 @@ def _bs_ir(config: SessionConfig, rng, size: int, source: Callable, tally: _Tall
     right = _tap_readout(
         rng, tapped, source(1.0 - config.attack.t, 1.0).counts, config.scenario_a_rule == "majority"
     )
-    right_resent, tally.errors = _breidbart_resends(rng, resent)
+    right_resent, errors = _breidbart_resends(rng, resent)
     untouched = _sifted(cells) - tapped - resent
-    tally.eve_correct = right + right_resent + _coins(rng, untouched)
-    return cells
+    return cells, errors, right + right_resent + _coins(rng, untouched), scenario
 
 
-def _pns(config: SessionConfig, rng, size: int, source: Callable, tally: _Tally) -> _Cells:
+def _pns(config: SessionConfig, rng, size: int, source: Callable) -> _Drawn:
     # Live: the source emitted a photon; cells count them, zero-truncated
     # Poisson(mu), and the eavesdropper takes one.
     cells = _draw_cells(rng, size, source(1.0, 1.0))
@@ -559,15 +518,13 @@ def _pns(config: SessionConfig, rng, size: int, source: Callable, tally: _Tally)
     bob = [[row[1] - n_kept, *row[2:], 0] for row, n_kept in zip(cells, kept)]
     for row, n_kept in zip(bob, kept):
         row[1] += n_kept
-    tally.errors, right = _probed(rng, kept[0], config.attack.d)
-    tally.eve_correct = _sifted(bob) - kept[0] + right
-    return bob
+    errors, right = _probed(rng, kept[0], config.attack.d)
+    return bob, errors, _sifted(bob) - kept[0] + right, None
 
 
 #: The kernel of each attack class, and of the untouched line under ``None``:
-#: it draws a batch's cells, applies the attack, records the attack's own
-#: tallies and returns the receiver's photons per cell.
-_KERNELS: dict[type[Attack] | None, Callable] = {
+#: it draws a batch's cells and applies the attack (see :data:`_Drawn`).
+_KERNELS: dict[type[Attack] | None, Callable[..., _Drawn]] = {
     None: _line,
     InterceptResend: _intercept_resend,
     OptimalIncoherent: _probe,
@@ -588,7 +545,7 @@ def _coincidences(rng: np.random.Generator, wrong: list[int]) -> int:
 
 def _simulate_batch(
     config: SessionConfig, rng: np.random.Generator, size: int, source: Callable | None = None
-) -> _Tally:
+) -> SessionStats:
     """Tally ``size`` pulses, drawn as counts per cell.
 
     ``source(lit, share)`` gives the :class:`_Law` of the photons in
@@ -598,30 +555,50 @@ def _simulate_batch(
     kernel = _KERNELS.get(None if attack is None else type(attack))
     if kernel is None:
         raise TypeError(f"unsupported attack {attack!r}")
-    tally = _Tally(n_pulses=size)
     source = source or functools.partial(_poisson_source, config.optics.mu)
-    bob = kernel(config, rng, size, source, tally)
+    bob, errors, eve_correct, scenario = kernel(config, rng, size, source)
     counts = [a + b for a, b in zip(*bob)]
     counts[0] += size - sum(counts)  # the dead pulses
-    top = min(len(counts), _HIST_MAX)
-    tally.hist[:top] = counts[:top]
-    tally.hist[_HIST_MAX] += sum(counts[_HIST_MAX:])
-    tally.sifted = _sifted(bob)
-    tally.nonempty = size - counts[0]
-    tally.coincidences = _coincidences(rng, bob[1])
-    return tally
+    hist = counts[:_HIST_MAX] + [0] * (_HIST_MAX - len(counts)) + [sum(counts[_HIST_MAX:])]
+    return SessionStats(
+        n_pulses=size,
+        sifted_count=_sifted(bob),
+        error_count=errors,
+        eve_correct_count=eve_correct,
+        nonempty_count=size - counts[0],
+        coincidence_count=_coincidences(rng, bob[1]),
+        scenario_counts=scenario,
+        bob_count_hist=tuple(hist),
+    )
 
 
 def run_session(config: SessionConfig) -> SessionStats:
     """Simulate the whole session on the shard-0 stream."""
-    return _simulate_batch(config, shard_rng(config.seed, 0), config.n_pulses).freeze()
+    return _simulate_batch(config, shard_rng(config.seed, 0), config.n_pulses)
+
+
+def _total(parts: list[SessionStats]) -> SessionStats:
+    """The shards' records added field by field.  An attack's own field is
+    ``None`` in every shard or in none, and scenario keys keep their order."""
+
+    def add(values: list):
+        first = values[0]
+        if first is None:
+            return None
+        if isinstance(first, dict):
+            return {key: sum(v[key] for v in values) for key in first}
+        if isinstance(first, tuple):
+            return tuple(map(sum, zip(*values)))
+        return sum(values)
+
+    return SessionStats(*(add([getattr(s, f.name) for s in parts]) for f in fields(SessionStats)))
 
 
 def run_sharded(config: SessionConfig, n_shards: int) -> SessionStats:
     """Partition the session across deterministic independent shard streams.
 
     Shard ``i`` simulates its slice of pulses on ``shard_rng(seed, i)``;
-    tallies merge associatively, so the result depends only on
+    their records add field by field, so the result depends only on
     (config, n_shards).  ``n_shards=1`` reproduces :func:`run_session` exactly.
     Every shard holds at least one pulse, so ``n_shards`` may not exceed
     ``n_pulses``.
@@ -631,11 +608,10 @@ def run_sharded(config: SessionConfig, n_shards: int) -> SessionStats:
             f"n_shards must be in [1, n_pulses={config.n_pulses}], got {n_shards!r}"
         )
     base, rem = divmod(config.n_pulses, n_shards)
-    total = _Tally()
-    for i in range(n_shards):
-        size = base + 1 if i < rem else base
-        total.add(_simulate_batch(config, shard_rng(config.seed, i), size))
-    return total.freeze()
+    return _total([
+        _simulate_batch(config, shard_rng(config.seed, i), base + 1 if i < rem else base)
+        for i in range(n_shards)
+    ])
 
 
 def analytic_expectations(config: SessionConfig) -> dict[str, float | None]:
@@ -668,7 +644,7 @@ def _one_photon_run(attack: Attack, n_trials: int, rng: np.random.Generator) -> 
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials!r}")
     config = SessionConfig(OpticalConfig(mu=1.0), attack, n_trials, seed=0)  # unused: rng draws
-    s = _simulate_batch(config, rng, n_trials, _one_photon_source).freeze()
+    s = _simulate_batch(config, rng, n_trials, _one_photon_source)
     return AttackSample(
         s.eve_accuracy, s.eve_accuracy_stderr, s.qber, s.qber_stderr, s.sifted_count
     )
