@@ -26,8 +26,10 @@ wrongly, with the same joint law for each of the four signals.  So a batch
 is tallied from its live pulses per cell, a cell being one photon count
 under one basis flag, and each count is drawn from its exact law: the
 photon-number tables, the 50/50 routing or the state tables of
-:mod:`bb84eve.states`.  What a batch costs does not grow with its number of
-pulses, and a shard is one batch.
+:mod:`bb84eve.states`.  A photon-number table ends where less than 2^-73 of
+its mass lies past it, which is below 2^-10 pulses in expectation at any
+session size (see :func:`_truncated`).  What a batch costs does not grow
+with its number of pulses, and a shard is one batch.
 
 A live pulse holds a photon where the attack needs one: on the receiver's
 share for no attack and the probe, at the source for the others.  A dead
@@ -218,7 +220,7 @@ class SessionStats:
 
 
 #: Terms summed to build a table; for means up to 20 the mass past them is
-#: below 1e-50.
+#: below 1e-50, and a table ends by count 78 (see :func:`_truncated`).
 _TABLE_TERMS = 128
 
 #: A pmf laid out for a multinomial draw: its entries from the smallest up,
@@ -246,14 +248,15 @@ def _law(p_live: float, pmf: np.ndarray) -> _Law:
 
 
 def _truncated(pmf: np.ndarray) -> np.ndarray:
-    """``pmf`` up to its first count ``j`` at which ``P(K <= j)`` is 1.0 in float64.
+    """``pmf`` up to its first count ``j`` past which less than 2^-73 of the mass lies.
 
-    ``P(K <= j)`` is one minus the mass past ``j``, summed from the far
-    end, so less than 2^-53 of the mass is dropped.  Counts 0 and 1 are
-    always kept; for means up to 20 a table ends before count 70.
+    The mass past ``j`` is summed from the far end.  A session holds fewer
+    than 2^63 pulses, so the counts dropped are below 2^-10 pulses in
+    expectation.  Counts 0 and 1 are always kept; for means up to 20 a
+    table ends by count 78.
     """
     past = np.append(np.cumsum(pmf[::-1])[-2::-1], 0.0)
-    end = max(2, int(np.argmax(1.0 - past == 1.0)) + 1)
+    end = max(2, int(np.argmax(past < 2.0**-73)) + 1)
     table = pmf[:end].copy()
     table.setflags(write=False)
     return table

@@ -36,20 +36,20 @@ VARIANTS = {
 }
 
 SESSION_DIGESTS = {
-    ("none", 1): "83a9bf9d17a6176aee5905d0446ffa78417bf043771aef3d48dba9a3d8d42429",
-    ("none", 8): "f41c365d9ebb33ddc779fd133d4d5f2272f111710875a5d435bf3a93a64e736e",
-    ("ir", 1): "6fd820100954991d66c5f8793325e733fe09b789e11888f1a73fa332a15cec36",
-    ("ir", 8): "9487b0d04025eb8fbea4bfa725ee131fdfc11d72efab5f96263661a782d75275",
-    ("opt", 1): "09d0fe5356f51113d20d40829e7cc5f3647a18ef80f6f23820df00e8337074c4",
-    ("opt", 8): "7b737157f9f51319b01461eaa8349edd6bf8df2868603a901de6234482f16d71",
-    ("bs-ir", 1): "463fb014e2db0ae60fd68f44bf6c31bfea830d49be990033597e18090ca7814d",
-    ("bs-ir", 8): "95543b9fb882e13c070d7db6f52996f6cae71ad33df5be0f2364f4c7d5259b2c",
-    ("bs-ir-majority", 1): "8c74d2e46c74b7ac6ebcc9144b646dd4eb0b91e334ce2e028a2a089cec17ec24",
-    ("bs-ir-majority", 8): "55121318548f366f10697546842d82c28369ddbfeff1e2a7cc54ac9bf803318e",
-    ("bs-opt", 1): "674817858327c0c7b8b5a37b049e5e2c7ede2359be6648028e3198f8f517592a",
-    ("bs-opt", 8): "27f26ee80b4648090e9b892eb2ae051fc4b28fb2d3af8f21d7c6590c544c14e1",
-    ("pns", 1): "9b06d9cfcdc13166c3f5c198938f35ab777d70fdd66c029d7a0eb30db5bfb217",
-    ("pns", 8): "e7e6afc549a18d54e85ca89ed951c0a84d94debcfd38ae88c6f17dd0f9c6d359",
+    ("none", 1): "26eed997eb06d21ceb73f255609589c47a6bcc122e72de953bcb7f7859d95d57",
+    ("none", 8): "72b770d757101042b07fc213dc714c1c5b6d2d2acee0d498f2b8f68e5b36c4dc",
+    ("ir", 1): "a9b808072fc3cdca99d5e1dbed60896bd55c8a79e882738093859c52c883c816",
+    ("ir", 8): "1b20d5f92b86332679d5192fc9b0596861a81bdece0fdb7558c2209f9f30cc3b",
+    ("opt", 1): "534fd32ee37d3fa0efbd83ede50f21a6d06389690470c1e8dd5f8b48c3b03778",
+    ("opt", 8): "702b30de99396709c28f2a26e324523074c8365da8251742703350afc2f37e05",
+    ("bs-ir", 1): "b289e784750dea40ba855ff1ed32e10a47e0cbd2aa107d4de27388d7bbdd6bed",
+    ("bs-ir", 8): "2083d4e1e01647347ac17a252b76b49757f4eb8327654f740272e98d417be73d",
+    ("bs-ir-majority", 1): "f1204a36b6ffcf5292c12e6c783b1987828c58147eeaf8d494e63b364429500d",
+    ("bs-ir-majority", 8): "35787b4608492a098db74e677e05841f5dcc551dd3368708c8455bd15ec9b279",
+    ("bs-opt", 1): "6a500072eb9c3839c85967a1500e26320e968b96c591ae4168df8e906ac246f2",
+    ("bs-opt", 8): "4b360fca0caa1f5a98e4bef624f61b9a309920844323e24d13ed4826686a8aa8",
+    ("pns", 1): "e701945d862f6b7975d1b73cfbed43bbfd8032fc84aa7b1f1ca69fd6fc7e07d1",
+    ("pns", 8): "7b5977d17e8139e0d56712e57f7faaa93f007e64e7dca7685ead7b7bb8af942b",
 }
 
 SINGLE_PHOTON_DIGESTS = {
