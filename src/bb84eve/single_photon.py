@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import D, D_IR, UNIT, Z
+from .domain import D, D_IR, Z
 from .states import KET_U, KET_V, KET_X, KET_Y
 
 _TOL = 1e-12
@@ -28,22 +28,6 @@ SQRT2 = math.sqrt(2.0)
 
 #: Guess probability of a full-strength Breidbart intercept-resend, (2+sqrt(2))/4.
 IR_MAX_GUESS_PROB = (2.0 + SQRT2) / 4.0
-
-
-def ir_guess_prob(eps: float) -> float:
-    """Bit-guessing probability when a fraction ``eps`` of signals is measured.
-
-    ``eps/2 (1 + 1/sqrt(2)) + (1 - eps)/2``: measured signals are guessed from
-    the Breidbart outcome, the rest by a fair coin.
-    """
-    UNIT.check("eps", eps)
-    return 0.5 * eps * (1.0 + 1.0 / SQRT2) + 0.5 * (1.0 - eps)
-
-
-def ir_disturbance(eps: float) -> float:
-    """Sifted-key error rate ``eps/4`` of the thinned intercept-resend."""
-    UNIT.check("eps", eps)
-    return 0.25 * eps
 
 
 def ir_guess_given_disturbance(d: float) -> float:

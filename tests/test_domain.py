@@ -57,8 +57,6 @@ LIBRARY = [
     (po.bob_count_pmf_series, {"mu": 1.0, "t": 0.5, "i": 1}, {"mu": MEAN, "t": UNIT}),
     (po.coincidence_prob, {"eta": 0.9, "mu": 1.0}, {"eta": UNIT, "mu": MEAN}),
     (po.coincidence_prob_series, {"eta": 0.9, "mu": 1.0}, {"eta": UNIT, "mu": MEAN}),
-    (sp.ir_guess_prob, {"eps": 0.5}, {"eps": UNIT}),
-    (sp.ir_disturbance, {"eps": 0.5}, {"eps": UNIT}),
     (sp.ir_guess_given_disturbance, {"d": 0.1}, {"d": D_IR}),
     (sp.helstrom, {"overlap": 0.5}, {"overlap": Z}),
     (sp.opt_guess_prob, {"d": 0.1}, {"d": D}),

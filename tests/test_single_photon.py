@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from bb84eve.engine import simulate_ir_attack, simulate_opt_attack
+from bb84eve.pulse_attacks import InterceptResend
 from bb84eve.single_photon import (
     IR_MAX_GUESS_PROB,
     construct_probe_vectors,
     basis_symmetry_deviation,
     helstrom,
-    ir_disturbance,
     ir_guess_given_disturbance,
-    ir_guess_prob,
     opt_guess_prob,
     probe_model_from_disturbance,
     verify_unitarity,
@@ -20,18 +19,24 @@ from bb84eve.single_photon import (
 SQRT2 = math.sqrt(2.0)
 
 
+def ir_forms(eps: float) -> tuple[float, float]:
+    """Intercept-resend's guess probability and disturbance on single photons:
+    its pulse forms on a lossless line, where every detected pulse is one that
+    the eavesdropper measured with probability ``eps``, whatever ``mu``."""
+    e = InterceptResend(eps=eps).expectations(1.0, 1.0, "single_result")
+    return e["eve_accuracy"], e["qber"]
+
+
 class TestInterceptResendForms:
     def test_full_strength(self):
-        assert ir_guess_prob(1.0) == pytest.approx((2 + SQRT2) / 4, abs=1e-15)
-        assert ir_disturbance(1.0) == pytest.approx(0.25, abs=1e-15)
+        assert ir_forms(1.0) == pytest.approx(((2 + SQRT2) / 4, 0.25), abs=1e-15)
 
     def test_no_attack(self):
-        assert ir_guess_prob(0.0) == pytest.approx(0.5, abs=1e-15)
-        assert ir_disturbance(0.0) == 0.0
+        assert ir_forms(0.0) == (pytest.approx(0.5, abs=1e-15), 0.0)
 
     def test_intermediate_values(self):
-        assert ir_guess_prob(0.5) == pytest.approx(0.6767766952966369, abs=1e-12)
-        assert ir_disturbance(0.8) == pytest.approx(0.2, abs=1e-15)
+        assert ir_forms(0.5)[0] == pytest.approx(0.6767766952966369, abs=1e-12)
+        assert ir_forms(0.8)[1] == pytest.approx(0.2, abs=1e-15)
 
     def test_guess_given_disturbance(self):
         assert ir_guess_given_disturbance(0.25) == pytest.approx((2 + SQRT2) / 4, abs=1e-15)
@@ -40,16 +45,16 @@ class TestInterceptResendForms:
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
-            ir_guess_prob(1.2)
+            InterceptResend(eps=1.2)
         with pytest.raises(ValueError):
-            ir_disturbance(-0.1)
+            InterceptResend(eps=-0.1)
         with pytest.raises(ValueError):
             ir_guess_given_disturbance(0.3)
 
     def test_consistency_of_the_three_forms(self):
         for eps in np.linspace(0.0, 1.0, 21):
-            d = ir_disturbance(eps)
-            assert abs(ir_guess_prob(eps) - ir_guess_given_disturbance(d)) < 1e-12
+            guess, d = ir_forms(eps)
+            assert abs(guess - ir_guess_given_disturbance(d)) < 1e-12
 
 
 class TestHelstrom:
@@ -225,8 +230,9 @@ class TestSimulators:
         cases = []
         for eps in (0.2, 0.4, 0.6, 0.8, 1.0):
             sample = simulate_ir_attack(eps, 1_000_000, rng)
-            cases.append((sample.guess_rate, ir_guess_prob(eps), sample.guess_stderr))
-            cases.append((sample.disturbance, ir_disturbance(eps), sample.disturbance_stderr))
+            guess, d = ir_forms(eps)
+            cases.append((sample.guess_rate, guess, sample.guess_stderr))
+            cases.append((sample.disturbance, d, sample.disturbance_stderr))
         for d in (0.05, 0.15, 0.25, 0.35, 0.45):
             sample = simulate_opt_attack(d, 1_000_000, rng)
             cases.append((sample.guess_rate, opt_guess_prob(d), sample.guess_stderr))
