@@ -210,8 +210,11 @@ class TestLiveTables:
         assert law.p_live == pytest.approx(scistats.poisson.sf(0, mean), rel=1e-14)
         ref = live_pmf(mean, share, law.pmf.size)
         assert np.allclose(laid_out(law.cells), np.r_[ref, ref] / 2, rtol=1e-12, atol=1e-300)
-        # The table ends where less than 2^-53 of the mass is left.
-        assert 1.0 - live_cdf(mean, share)[law.pmf.size - 1] < 2.0**-53
+        # The table ends at the first count past which less than 2^-73 of
+        # the mass lies.
+        past = scistats.poisson.sf([law.pmf.size - 2, law.pmf.size - 1], mean * share)
+        past /= scistats.poisson.sf(0, mean)
+        assert past[1] < 2.0**-73 and (law.pmf.size == 2 or past[0] >= 2.0**-73)
 
     @pytest.mark.parametrize("mean, share", [(0.0, 0.3), (5e-324, 0.5), (20.0, 0.0), (1.0, 1.0)])
     def test_table_runs_to_one_at_the_edges(self, mean, share):
