@@ -487,7 +487,8 @@ def _tap(config: SessionConfig, rng, size: int, source: Callable):
     live = sum(map(sum, cells))
     dark = cells[0][0] + cells[1][0]
     both = sum(map(sum, lit)) - dark
-    return cells, lit, dict(both=both, eve_only=dark, bob_only=live - dark - both, empty=size - live)
+    scenario = dict(both=both, eve_only=dark, bob_only=live - dark - both, empty=size - live)
+    return cells, lit, scenario
 
 
 def _bs_opt(config: SessionConfig, rng, size: int, source: Callable) -> _Drawn:

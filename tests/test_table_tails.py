@@ -38,14 +38,8 @@ def variant(name: str, mu: float, eta: float) -> Variant:
 
 
 def session(v: Variant, seed: int) -> bb.SessionStats:
-    attack = {
-        "none": lambda: None,
-        "ir": lambda: bb.InterceptResend(eps=v.eps),
-        "opt": lambda: bb.OptimalIncoherent(d=v.d),
-        "bs-ir": lambda: bb.BsInterceptResend(t=v.t, d=v.d),
-        "bs-opt": lambda: bb.BsOptimal(t=v.t, d=v.d),
-        "pns": lambda: bb.Pns(kappa=v.kappa, d=v.d),
-    }[v.kind]()
+    kind = v.kind.replace("-", "_")
+    attack = None if kind == "none" else bb.ATTACKS[kind].from_params(vars(v), v.mu, v.eta)
     config = bb.SessionConfig(
         bb.OpticalConfig(mu=v.mu, eta=v.eta), attack, N_PULSES, seed, scenario_a_rule=v.rule
     )
@@ -61,8 +55,9 @@ def test_session_of_2_62_pulses_passes_the_oracle(name, mu, eta, seed):
     stats = session(v, seed)
     bad = expect.check_session(stats.to_dict(), expect.session_expectation(v))
     if name == "pns" and v.kappa == 1.0:
-        # Total break: every kept pulse has two photons or more, so the
-        # eavesdropper is always right and never disturbs.  The oracle's
+        # Total break: every pulse that reaches the receiver left the source
+        # with two photons or more, one of them the eavesdropper's, so she
+        # is always right and never disturbs.  The oracle's
         # z-score tests an exact count as round(p * trials) in float64,
         # which cannot hold a count above 2^53, so only these identities
         # are checked here.
